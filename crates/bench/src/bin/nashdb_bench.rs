@@ -70,8 +70,8 @@ PERF OPTIONS:
   --batch-scans N   scans per batch in the batch-routing scaling workload
                     (default 10000)
   --batch-nodes N   cluster nodes in the batch-routing scaling workload
-                    (default 512; scans are zoned over 16-node zones so
-                    node-disjoint shards form)
+                    (default 512; each scan reads inside one 16-node
+                    zone)
   --min-routing-speedup X
                     fail (exit 1) if the incremental router is not at
                     least X times faster than the naive reference
@@ -291,13 +291,12 @@ fn perf(mut args: Args) {
     }
     let routing = snap.gauge("perf.routing.speedup").unwrap_or(0.0);
     let batch = snap.gauge("perf.routing.batch_speedup").unwrap_or(0.0);
-    let pool_reuse = snap.gauge("perf.par.pool_reuse").unwrap_or(0.0);
     let lookup = snap.gauge("perf.lookup.speedup").unwrap_or(0.0);
     eprintln!(
         "perf ok: seed {} — routing {:.1}x faster than naive reference, \
-         batch routing {:.1}x faster than per-scan (pool reuse {:.1} \
-         chunks/thread), indexed lookups {:.1}x faster than linear scans",
-        cfg.seed, routing, batch, pool_reuse, lookup
+         batch routing {:.1}x faster than per-scan, indexed lookups \
+         {:.1}x faster than linear scans",
+        cfg.seed, routing, batch, lookup
     );
     if let Some(min) = min_speedup {
         if routing < min {

@@ -10,11 +10,9 @@
 //!   `perf.routing.speedup` gauge is the headline number.
 //! * **Batch routing** — [`ScanRouter::route_batch`] against the per-scan
 //!   incremental loop it amortizes, on the scaling workload (10k scans over
-//!   512 nodes by default, zoned so node-disjoint shards form). Asserted to
-//!   produce identical assignments *and* final queue waits before timing;
-//!   `perf.routing.batch_speedup` is the gate and `perf.par.pool_reuse`
-//!   (pool chunks executed per thread ever spawned) proves the router's
-//!   workers are long-lived rather than per-call.
+//!   512 nodes by default, zoned as locality-aware placement would).
+//!   Asserted to produce identical assignments *and* final queue waits
+//!   before timing; `perf.routing.batch_speedup` is the gate.
 //! * **Scheme lookups** — the O(1) indexed [`ClusterScheme`] lookups
 //!   (`range_of`, `node_used`) against the linear decision scans they
 //!   replaced, again asserted equal first.
@@ -55,8 +53,8 @@ pub struct PerfConfig {
     pub scans: usize,
     /// Scans per batch in the batch-routing scaling workload.
     pub batch_scans: usize,
-    /// Cluster nodes in the batch-routing scaling workload. Scans are zoned
-    /// over 16-node zones so the batch decomposes into node-disjoint shards.
+    /// Cluster nodes in the batch-routing scaling workload. Each scan reads
+    /// inside one 16-node zone.
     pub batch_nodes: usize,
     /// Value chunks in the DP fragmentation problem. The default is wide
     /// enough (`>` the fragmenter's parallel-layer threshold) that the DP's
@@ -113,9 +111,6 @@ pub struct PerfReport {
     pub routing: Comparison,
     /// `route_batch` vs the per-scan incremental loop, per whole batch.
     pub batch: Comparison,
-    /// Persistent-pool chunks executed per thread ever spawned (cumulative
-    /// over the process); >> 1 proves workers are reused, not per-call.
-    pub pool_reuse: f64,
     /// Indexed vs linear-scan `ClusterScheme` lookups, per lookup sweep.
     pub lookup: Comparison,
     /// DP fragmentation, per run.
@@ -203,9 +198,8 @@ const REQS_PER_SCAN: usize = 2;
 /// queue waits. The fragment universe is a synthetic scheme —
 /// [`FRAGS_PER_NODE`] fragments per node, each with a fixed size and a fixed
 /// 3-replica candidate list inside a 16-node zone — and scan `i` reads from
-/// zone `i mod zones`, so the batch decomposes into node-disjoint shards:
-/// the shape coincident arrivals take when replica placement is
-/// locality-aware.
+/// zone `i mod zones`: the shape coincident arrivals take when replica
+/// placement is locality-aware.
 fn batch_problem(cfg: &PerfConfig) -> (Vec<Vec<FragmentRequest>>, Vec<u64>, usize) {
     let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0xBA7C);
     let zone = 16.min(cfg.batch_nodes.max(1));
@@ -469,9 +463,6 @@ pub fn run_perf(cfg: &PerfConfig) -> PerfReport {
         best = PerfReport {
             routing: min_comparison(best.routing, next.routing),
             batch: min_comparison(best.batch, next.batch),
-            // Cumulative over the process, so the latest reading is the
-            // most informative one.
-            pool_reuse: next.pool_reuse,
             lookup: min_comparison(best.lookup, next.lookup),
             fragment_dp_ns: best.fragment_dp_ns.min(next.fragment_dp_ns),
             packing_bffd_ns: best.packing_bffd_ns.min(next.packing_bffd_ns),
@@ -490,8 +481,6 @@ fn min_comparison(a: Comparison, b: Comparison) -> Comparison {
 fn run_perf_once(cfg: &PerfConfig) -> PerfReport {
     let routing = measure_routing(cfg);
     let batch = measure_batch_routing(cfg);
-    let pool = nashdb_par::pool_stats();
-    let pool_reuse = pool.chunks_executed as f64 / (pool.threads_spawned.max(1)) as f64;
 
     let stats = fragment_problem(cfg);
     let policy =
@@ -508,7 +497,6 @@ fn run_perf_once(cfg: &PerfConfig) -> PerfReport {
     PerfReport {
         routing,
         batch,
-        pool_reuse,
         lookup,
         fragment_dp_ns,
         packing_bffd_ns,
@@ -538,7 +526,6 @@ pub fn perf_snapshot(cfg: &PerfConfig) -> ObsSnapshot {
     nashdb_obs::gauge_set("perf.routing.batch_reference_ns", report.batch.reference_ns);
     nashdb_obs::gauge_set("perf.routing.batch_ns", report.batch.optimized_ns);
     nashdb_obs::gauge_set("perf.routing.batch_speedup", report.batch.speedup());
-    nashdb_obs::gauge_set("perf.par.pool_reuse", report.pool_reuse);
     nashdb_obs::gauge_set("perf.lookup.linear_ns", report.lookup.reference_ns);
     nashdb_obs::gauge_set("perf.lookup.indexed_ns", report.lookup.optimized_ns);
     nashdb_obs::gauge_set("perf.lookup.speedup", report.lookup.speedup());
@@ -584,12 +571,6 @@ mod tests {
             let v = snap.gauge(g).unwrap_or_else(|| panic!("gauge {g} missing"));
             assert!(v > 0.0, "gauge {g} not positive: {v}");
         }
-        // Pool reuse is legitimately zero on single-core hosts, where
-        // `route_batch` prefers the serial path and never wakes the pool.
-        let reuse = snap
-            .gauge("perf.par.pool_reuse")
-            .expect("gauge perf.par.pool_reuse missing");
-        assert!(reuse >= 0.0, "pool reuse negative: {reuse}");
         // The snapshot round-trips through its own schema.
         let json = snap.to_json_string();
         let parsed = ObsSnapshot::from_json_str(&json).unwrap();

@@ -34,10 +34,8 @@ pub fn optimal_fragmentation(
     let watch = crate::obs_hooks::stopwatch();
     crate::obs_hooks::counter_add("fragment.optimal_runs", 1);
     crate::obs_hooks::record("fragment.optimal_chunks", chunks.len() as u64);
-    // Arc-wrapped so wide DP layers can ship owned handles to the
-    // persistent `nashdb-par` pool (pool jobs cannot borrow the stack).
-    let prefix = std::sync::Arc::new(ChunkPrefix::new(chunks)?);
-    let bounds = std::sync::Arc::new(prefix.bounds().to_vec());
+    let prefix = ChunkPrefix::new(chunks)?;
+    let bounds = prefix.bounds();
     let m = prefix.num_chunks();
     let k = max_frags.min(m);
 
@@ -69,15 +67,12 @@ pub fn optimal_fragmentation(
     for j in 2..=k {
         // With j fragments we can cover at least j chunks and must leave at
         // least j-1 chunks behind the last cut.
-        let dp_prev = std::sync::Arc::new(std::mem::take(&mut dp));
-        let (prefix_j, bounds_j, dp_j) = (prefix.clone(), bounds.clone(), dp_prev.clone());
-        let layer = nashdb_par::fill_with(m + 1 - j, PAR_MIN_CELLS, move |off| {
+        let layer = nashdb_par::fill_with(m + 1 - j, PAR_MIN_CELLS, |off| {
             let i = j + off;
-            let err = |a: usize, b: usize| prefix_j.error(bounds_j[a], bounds_j[b]);
             let mut best = f64::INFINITY;
             let mut best_p = j - 1;
             for p in (j - 1)..i {
-                let cand = dp_j[p] + err(p, i);
+                let cand = dp[p] + err(p, i);
                 if cand < best {
                     best = cand;
                     best_p = p;

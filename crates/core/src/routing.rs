@@ -14,34 +14,25 @@
 //! layer converts its time-based queue lengths and the paper's ϕ = 350 ms
 //! into tuple units via node throughput.
 //!
-//! [`MaxOfMins`] runs Eq. 11 *incrementally*: each pending request caches
-//! its **k best** `(effective wait, node)` candidates with version-stamped
-//! invalidation, and a placement re-evaluates only the requests it could
-//! have invalidated — those listing the placed node as a candidate (its
-//! queue grew, and the first placement also flips its ϕ penalty off). The
-//! common invalidation (the placed node *was* a request's best) pops the
-//! next cached candidate instead of rescanning all C candidates; a full
-//! rescan happens only when the cache's cutoff bound can no longer prove
-//! the front entry minimal. The cache engages only for candidate lists
-//! wider than k — a cache holding every candidate can exclude none, so
-//! short lists re-derive by direct scan. The textbook O(R²·C) double
-//! loop is retained
-//! verbatim in [`mod@reference`] as the executable specification the
-//! incremental router is property-tested against.
+//! [`MaxOfMins`] runs Eq. 11 *incrementally*: each pending request keeps
+//! its announced minimum `(effective wait, node)` in a versioned max-heap,
+//! and a placement re-evaluates only the requests listing the placed node
+//! as a candidate (its queue grew, and the first placement also flips its
+//! ϕ penalty off). A request whose announced minimum ran through the placed
+//! node re-derives it by a direct O(C) scan; one the placed node now
+//! undercuts is patched in O(1); every other request keeps its minimum.
+//! The textbook O(R²·C) double loop is retained verbatim in
+//! [`mod@reference`] as the executable specification the incremental
+//! router is property-tested against.
 //!
-//! Scans also route in **batches** ([`ScanRouter::route_batch`]): one call
-//! routes many scans against one evolving queue view with scratch state
-//! (heap, inverted index, caches) reused across scans, and — when the
-//! batch decomposes into node-disjoint groups — shards those groups across
-//! the persistent `nashdb-par` worker pool. Disjointness makes the shards
-//! commute, so the sharded output (assignments, selection order, final
-//! queues, observed waits) is *identical* to sequential per-scan routing;
-//! worker threads never touch the observability session — observations are
-//! replayed by the caller in scan order, keeping same-seed snapshots
-//! byte-identical at any core count.
+//! Scans arriving together route through [`ScanRouter::route_batch`]: one
+//! call threads one evolving queue view through the scans in arrival
+//! order, exactly as consecutive [`ScanRouter::route`] calls would.
+//! `MaxOfMins` keeps its scratch state (heap, inverted index, per-request
+//! minima) in a thread-local reused across calls, so a batch pays no
+//! per-scan allocation beyond its output.
 
 use std::collections::{BinaryHeap, HashSet};
-use std::sync::Arc;
 
 use crate::ids::{FragmentId, NodeId};
 
@@ -205,11 +196,16 @@ pub fn span(assignments: &[Assignment]) -> usize {
         .len()
 }
 
-/// Shared per-scan instrumentation for every router implementation.
-fn record_scan_metrics(assignments: &[Assignment]) {
+/// Shared per-scan instrumentation for every router implementation. With
+/// no session live it returns after one check, and `span` is never
+/// computed.
+fn record_scan_metrics(requests: usize, span: impl FnOnce() -> usize) {
+    if !crate::obs_hooks::is_active() {
+        return;
+    }
     crate::obs_hooks::counter_add("routing.scans_routed", 1);
-    crate::obs_hooks::counter_add("routing.requests", assignments.len() as u64);
-    crate::obs_hooks::record("routing.query_span", span(assignments) as u64);
+    crate::obs_hooks::counter_add("routing.requests", requests as u64);
+    crate::obs_hooks::record("routing.query_span", span() as u64);
 }
 
 /// Shared per-batch instrumentation for every router implementation.
@@ -224,8 +220,8 @@ fn record_batch_metrics(scans: usize) {
 /// re-evaluate-everything loop in [`reference::max_of_mins`] whenever
 /// fragment ids are distinct within the scan (which
 /// `DistScheme::requests_for_query` guarantees by deduplication), at
-/// O((R + I)·log R) heap work plus O(I·C) re-evaluations, where `I` is the
-/// number of placement-invalidated cache entries instead of the naive
+/// O((R + I)·log R) heap work plus O(I·C) re-derivations, where `I` is the
+/// number of requests a placement invalidated, instead of the naive
 /// R²-ish full rescans.
 #[derive(Debug, Clone, Copy)]
 pub struct MaxOfMins {
@@ -255,143 +251,27 @@ struct HeapEntry {
     version: u64,
 }
 
-/// How many candidates each pending request caches. Four covers the
-/// replica counts Eq. 9 actually produces for hot fragments, so the cache
-/// usually holds *every* candidate and a placement never forces a rescan.
-const K_BEST: usize = 4;
-
-/// Batches smaller than this route serially even when they decompose into
-/// disjoint shards: below it, pool round-trips cost more than they save.
-const MIN_SHARD_SCANS: usize = 64;
-
-/// One cached candidate: its effective wait when it was last evaluated,
-/// stamped with the node's version at that instant. A stamp mismatch means
-/// the node's queue has grown since (waits only grow within a scan batch —
-/// ϕ flips are handled eagerly by [`KBest::offer`]), so a stale `eff` is
-/// always a *lower bound* on the candidate's true effective wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct KEntry {
+/// A pending request's announced Eq. 11 minimum: the `(eff, node)` last
+/// pushed to the selection heap, and the version that supersedes the
+/// request's older heap entries.
+#[derive(Debug, Clone, Copy)]
+struct Announced {
     eff: u64,
     node: NodeId,
-    stamp: u64,
-}
-
-impl KEntry {
-    fn key(&self) -> (u64, NodeId) {
-        (self.eff, self.node)
-    }
-
-    /// Filler for unused inline slots; never read while `len` is honest.
-    const DUMMY: KEntry = KEntry {
-        eff: 0,
-        node: NodeId(0),
-        stamp: 0,
-    };
-}
-
-/// A pending request's k-best candidate cache.
-///
-/// Invariants:
-/// * `entries` is sorted ascending by `(eff, node)`.
-/// * Every candidate *not* in `entries` has a true effective wait of at
-///   least `cutoff` (`None` means every candidate is cached). This holds
-///   because waits only grow, and the one event that shrinks a candidate's
-///   wait — its ϕ penalty flipping off on first placement — eagerly
-///   [`KBest::offer`]s that node into the cache of every request listing it.
-///
-/// Together these make the lazy minimum exact: refresh stale entries at the
-/// front until the front is fresh; if its key is within `cutoff` it beats
-/// every uncached candidate too, otherwise rescan.
-#[derive(Debug, Clone, Copy)]
-struct KBest {
-    /// The `len` live entries, sorted ascending by `(eff, node)`, held
-    /// inline — a fresh `route` call builds one cache per request, so the
-    /// cache itself must never heap-allocate. The spare slot lets
-    /// [`KBest::offer`] insert before evicting.
-    entries: [KEntry; K_BEST + 1],
-    len: usize,
-    cutoff: Option<(u64, NodeId)>,
-    /// Heap-invalidation version: bumped whenever the announced best
-    /// changes, superseding older heap entries for this request.
     version: u64,
-    /// The `(eff, node)` last pushed to the selection heap.
-    announced: (u64, NodeId),
 }
 
-impl Default for KBest {
-    fn default() -> Self {
-        KBest {
-            entries: [KEntry::DUMMY; K_BEST + 1],
-            len: 0,
-            cutoff: None,
-            version: 0,
-            announced: (0, NodeId(0)),
-        }
-    }
-}
-
-impl KBest {
-    fn reset(&mut self) {
-        self.len = 0;
-        self.cutoff = None;
-        self.version = 0;
-        self.announced = (0, NodeId(0));
-    }
-
-    /// The cached minimum, if any entry is live.
-    fn front(&self) -> Option<KEntry> {
-        (self.len > 0).then(|| self.entries[0])
-    }
-
-    fn remove_front(&mut self) {
-        self.entries.copy_within(1..self.len, 0);
-        self.len -= 1;
-    }
-
-    /// Requires a free slot (`len <= K_BEST`), which every caller
-    /// re-establishes before inserting.
-    fn insert_sorted(&mut self, e: KEntry) {
-        let mut pos = 0;
-        while pos < self.len && self.entries[pos].key() <= e.key() {
-            pos += 1;
-        }
-        self.entries.copy_within(pos..self.len, pos + 1);
-        self.entries[pos] = e;
-        self.len += 1;
-    }
-
-    /// Eagerly records that `node`'s effective wait just *dropped* (its ϕ
-    /// penalty flipped off): replace any cached entry for it and, if a
-    /// worse entry is evicted to make room, fold the evicted lower bound
-    /// into `cutoff` so the exclusion invariant keeps holding.
-    fn offer(&mut self, node: NodeId, eff: u64, stamp: u64) {
-        if let Some(pos) = self.entries[..self.len].iter().position(|e| e.node == node) {
-            self.entries.copy_within(pos + 1..self.len, pos);
-            self.len -= 1;
-        }
-        self.insert_sorted(KEntry { eff, node, stamp });
-        if self.len > K_BEST {
-            self.len -= 1;
-            let key = self.entries[self.len].key();
-            self.cutoff = Some(self.cutoff.map_or(key, |c| c.min(key)));
-        }
-    }
-}
-
-/// Reusable per-batch router state. Allocations (inverted index, heap,
-/// caches) amortize across every scan of a batch; `node_version` is
-/// monotonic across scans so cache stamps never need a global reset.
+/// Reusable router state. Allocations (inverted index, heap, per-request
+/// minima) amortize across every scan a thread routes.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Nodes already serving the current scan's query (ϕ-free).
     chosen: Vec<bool>,
-    /// Bumped on every enqueue to the node; stamps compare against this.
-    node_version: Vec<u64>,
     /// Which requests of the current scan list each node as a candidate.
     by_node: Vec<Vec<usize>>,
     /// Nodes touched by the current scan, for sparse O(touched) reset.
     touched: Vec<usize>,
-    caches: Vec<KBest>,
+    announced: Vec<Announced>,
     placed: Vec<bool>,
     heap: BinaryHeap<HeapEntry>,
 }
@@ -408,31 +288,18 @@ impl Scratch {
         if self.chosen.len() < nodes {
             self.chosen.resize(nodes, false);
             self.by_node.resize_with(nodes, Vec::new);
-            self.node_version.resize(nodes, 0);
         }
         self.placed.clear();
         self.placed.resize(requests, false);
-        if self.caches.len() < requests {
-            self.caches.resize_with(requests, KBest::default);
-        }
-        for c in &mut self.caches[..requests] {
-            c.reset();
-        }
+        self.announced.clear();
         self.heap.clear();
     }
 }
 
 impl MaxOfMins {
-    /// A candidate's Eq. 11 key under the current queue and chosen state.
-    fn key_of(&self, n: NodeId, queues: &QueueView, chosen: &[bool]) -> (u64, NodeId) {
-        let penalty = if chosen[n.index()] { 0 } else { self.phi };
-        (queues.wait(n).saturating_add(penalty), n)
-    }
-
-    /// Eq. 11 inner minimum by direct scan. Cheaper than k-best cache
-    /// maintenance when the candidate list is short (≤ [`K_BEST`]): a
-    /// cache that keeps every candidate cannot exclude any of them, so
-    /// its bookkeeping is pure overhead there.
+    /// Eq. 11 inner minimum by direct scan: the smallest `(effective wait,
+    /// node)` key over the request's candidates under the current queue
+    /// and chosen state.
     fn best_of(
         &self,
         req: &FragmentRequest,
@@ -441,7 +308,8 @@ impl MaxOfMins {
     ) -> Result<(NodeId, u64), RouteError> {
         let mut best: Option<(u64, NodeId)> = None;
         for &n in &req.candidates {
-            let key = self.key_of(n, queues, chosen);
+            let penalty = if chosen[n.index()] { 0 } else { self.phi };
+            let key = (queues.wait(n).saturating_add(penalty), n);
             if best.is_none_or(|b| key < b) {
                 best = Some(key);
             }
@@ -456,107 +324,13 @@ impl MaxOfMins {
         }
     }
 
-    /// Full O(C) rescan: repopulates `cache` with the k smallest candidate
-    /// keys (freshly stamped) and sets `cutoff` to the (k+1)-th smallest —
-    /// the proof obligation for every candidate left out.
-    fn rebuild_cache(
-        &self,
-        cache: &mut KBest,
-        req: &FragmentRequest,
-        queues: &QueueView,
-        chosen: &[bool],
-        node_version: &[u64],
-    ) {
-        cache.len = 0;
-        cache.cutoff = None;
-        // Top-(K+1) selection by insertion — O(C·K) with K a small constant.
-        let mut top = [(u64::MAX, NodeId(u64::MAX)); K_BEST + 1];
-        let mut len = 0usize;
-        for &n in &req.candidates {
-            let key = self.key_of(n, queues, chosen);
-            if len < top.len() {
-                top[len] = key;
-                len += 1;
-            } else if key < top[len - 1] {
-                top[len - 1] = key;
-            } else {
-                continue;
-            }
-            let mut i = len - 1;
-            while i > 0 && top[i] < top[i - 1] {
-                top.swap(i, i - 1);
-                i -= 1;
-            }
-        }
-        let keep = len.min(K_BEST);
-        for (slot, &(eff, node)) in cache.entries.iter_mut().zip(&top[..keep]) {
-            *slot = KEntry {
-                eff,
-                node,
-                stamp: node_version[node.index()],
-            };
-        }
-        cache.len = keep;
-        if len > K_BEST {
-            cache.cutoff = Some(top[K_BEST]);
-        }
-    }
-
-    /// The request's exact Eq. 11 minimum, lazily: refresh stale front
-    /// entries (amortized O(K)); rescan only when the cutoff bound cannot
-    /// certify the fresh front.
-    fn current_best(
-        &self,
-        cache: &mut KBest,
-        req: &FragmentRequest,
-        queues: &QueueView,
-        chosen: &[bool],
-        node_version: &[u64],
-    ) -> Result<(NodeId, u64), RouteError> {
-        loop {
-            let Some(front) = cache.front() else {
-                self.rebuild_cache(cache, req, queues, chosen, node_version);
-                let Some(e) = cache.front() else {
-                    return Err(RouteError::InvariantBreach {
-                        fragment: req.fragment,
-                    });
-                };
-                return Ok((e.node, e.eff));
-            };
-            if node_version[front.node.index()] == front.stamp {
-                if cache.cutoff.is_none_or(|c| front.key() <= c) {
-                    return Ok((front.node, front.eff));
-                }
-                self.rebuild_cache(cache, req, queues, chosen, node_version);
-                let Some(e) = cache.front() else {
-                    return Err(RouteError::InvariantBreach {
-                        fragment: req.fragment,
-                    });
-                };
-                return Ok((e.node, e.eff));
-            }
-            // Stale front: refresh it in place and re-sort. Each pass
-            // freshens one entry, so this loop runs at most K times.
-            cache.remove_front();
-            let (eff, _) = self.key_of(front.node, queues, chosen);
-            cache.insert_sorted(KEntry {
-                eff,
-                node: front.node,
-                stamp: node_version[front.node.index()],
-            });
-        }
-    }
-
-    /// Routes one pre-validated scan, reusing `scratch` across calls.
-    /// Observed pre-enqueue waits append to `obs_waits` instead of the
-    /// observability session, so shard workers stay session-free and the
-    /// caller replays observations in scan order.
+    /// Routes one pre-validated scan, reusing `scratch` across calls, and
+    /// records the scan's observations when a session is live.
     fn route_scan_into(
         &self,
         requests: &[FragmentRequest],
         queues: &mut QueueView,
         scratch: &mut Scratch,
-        obs_waits: &mut Vec<u64>,
     ) -> Result<Vec<Assignment>, RouteError> {
         // Node-indexed scratch sized to cover every candidate (candidate
         // ids index into `queues`, but an oversized id should fail on the
@@ -580,13 +354,12 @@ impl MaxOfMins {
         }
 
         for (i, req) in requests.iter().enumerate() {
-            // Announce via a plain O(C) min-scan and leave the k-best
-            // entries unbuilt (`len == 0`): most requests are placed off
-            // their initial announcement and never pay for cache
-            // construction. `current_best` materializes the cache on the
-            // first real re-derivation.
             let (node, eff) = self.best_of(req, queues, &scratch.chosen)?;
-            scratch.caches[i].announced = (eff, node);
+            scratch.announced.push(Announced {
+                eff,
+                node,
+                version: 0,
+            });
             scratch.heap.push(HeapEntry {
                 eff,
                 size: req.size,
@@ -596,20 +369,28 @@ impl MaxOfMins {
             });
         }
 
+        // One session check per scan instead of a thread-local round trip
+        // per sample.
+        let obs_active = crate::obs_hooks::is_active();
+        // The query's span: every node's first placement flips it chosen.
+        let mut span = 0usize;
         let mut out = Vec::with_capacity(requests.len());
         while let Some(entry) = scratch.heap.pop() {
             let idx = entry.index.0;
-            if scratch.placed[idx] || entry.version != scratch.caches[idx].version {
+            if scratch.placed[idx] || entry.version != scratch.announced[idx].version {
                 continue; // superseded by a re-evaluation
             }
             let req = &requests[idx];
-            let (_, node) = scratch.caches[idx].announced;
+            let node = scratch.announced[idx].node;
             scratch.placed[idx] = true;
-            obs_waits.push(queues.wait(node));
+            if obs_active {
+                crate::obs_hooks::record("routing.queue_wait_tuples", queues.wait(node));
+            }
             queues.enqueue(node, req.size);
-            scratch.node_version[node.index()] += 1;
-            let first_touch = !scratch.chosen[node.index()];
-            scratch.chosen[node.index()] = true;
+            if !scratch.chosen[node.index()] {
+                scratch.chosen[node.index()] = true;
+                span += 1;
+            }
             out.push(Assignment {
                 fragment: req.fragment,
                 node,
@@ -620,316 +401,52 @@ impl MaxOfMins {
             // vanished, so only requests listing it as a candidate can see
             // a different Eq. 11 minimum.
             let via = queues.wait(node); // chosen ⇒ no penalty
-            let stamp = scratch.node_version[node.index()];
             for &j in &scratch.by_node[node.index()] {
                 if scratch.placed[j] {
                     continue;
                 }
-                if first_touch && scratch.caches[j].len > 0 {
-                    // Penalty flips break the stale-entries-are-lower-bounds
-                    // invariant, so built caches must eagerly absorb the
-                    // flipped node's fresh key. Unbuilt caches (`len == 0`)
-                    // hold no entries to go stale and skip the bookkeeping.
-                    scratch.caches[j].offer(node, via, stamp);
-                }
-                let (a_eff, a_node) = scratch.caches[j].announced;
-                let (n, eff) = if a_node == node {
+                let a = scratch.announced[j];
+                let (n, eff) = if a.node == node {
                     // The announced minimum ran through the placed node and
-                    // its wait just grew: re-derive the true minimum. Long
-                    // candidate lists go through the k-best cache (amortized
-                    // O(K), rescan only past the cutoff); short ones rescan
-                    // directly — the cache could not exclude any candidate.
-                    if requests[j].candidates.len() > K_BEST {
-                        self.current_best(
-                            &mut scratch.caches[j],
-                            &requests[j],
-                            queues,
-                            &scratch.chosen,
-                            &scratch.node_version,
-                        )?
-                    } else {
-                        self.best_of(&requests[j], queues, &scratch.chosen)?
-                    }
-                } else if (via, node) < (a_eff, a_node) {
+                    // its wait just grew: re-derive the true minimum.
+                    self.best_of(&requests[j], queues, &scratch.chosen)?
+                } else if (via, node) < (a.eff, a.node) {
                     // First touch dropped the placed node's ϕ penalty below
                     // the announced minimum: patch in O(1). (Only a penalty
-                    // flip can undercut — waits never shrink — and `offer`
-                    // above already recorded the fresh entry.)
+                    // flip can undercut — waits never shrink.)
                     (node, via)
                 } else {
                     // Every other candidate's key is unchanged and the placed
                     // node does not undercut: the announced minimum is still
-                    // exact, so skip all cache maintenance. The cache may now
-                    // hold a stale (lower-bound) entry for the placed node;
-                    // `current_best` refreshes it lazily via its stamp.
+                    // exact.
                     continue;
                 };
-                let c = &mut scratch.caches[j];
-                if (eff, n) != c.announced {
-                    c.version += 1;
-                    c.announced = (eff, n);
+                if (eff, n) != (a.eff, a.node) {
+                    let version = a.version + 1;
+                    scratch.announced[j] = Announced {
+                        eff,
+                        node: n,
+                        version,
+                    };
                     scratch.heap.push(HeapEntry {
                         eff,
                         size: requests[j].size,
                         fragment: std::cmp::Reverse(requests[j].fragment),
                         index: std::cmp::Reverse(j),
-                        version: c.version,
+                        version,
                     });
                 }
             }
         }
-        Ok(out)
-    }
-}
-
-/// Vec-based disjoint-set union over node indices (no hash maps: shard
-/// grouping must be a deterministic function of the input). Roots are
-/// always the smallest node index of their component.
-struct Dsu {
-    parent: Vec<usize>,
-}
-
-impl Dsu {
-    fn new(n: usize) -> Self {
-        Dsu {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent[hi] = lo;
-        }
-    }
-}
-
-/// How a batch decomposes into node-disjoint shards. Scans in different
-/// shards share no candidate node, so routing them commutes: any
-/// interleaving — including parallel — produces the sequential result.
-struct ShardPlan {
-    /// Scan indices per shard, shard order by first scan occurrence and
-    /// scan order within a shard preserved.
-    shard_scans: Vec<Vec<usize>>,
-    /// Candidate nodes per shard, for the final-wait merge.
-    shard_nodes: Vec<Vec<usize>>,
-    /// Scans with no requests; they route to empty assignment lists.
-    empty_scans: Vec<usize>,
-}
-
-/// Groups a batch into node-disjoint shards, or `None` when sharding
-/// cannot pay (small batch, or everything is one connected component).
-fn plan_shards(scans: &[Vec<FragmentRequest>]) -> Option<ShardPlan> {
-    if scans.len() < MIN_SHARD_SCANS {
-        return None;
-    }
-    let nodes = scans
-        .iter()
-        .flat_map(|s| s.iter())
-        .flat_map(|r| r.candidates.iter())
-        .map(|n| n.index() + 1)
-        .max()
-        .unwrap_or(0);
-    if nodes == 0 {
-        return None; // every scan is empty
-    }
-    let mut dsu = Dsu::new(nodes);
-    let mut seen = vec![false; nodes];
-    for scan in scans {
-        // A scan is atomic: all its candidate nodes join one component.
-        let mut anchor: Option<usize> = None;
-        for req in scan {
-            for &n in &req.candidates {
-                seen[n.index()] = true;
-                match anchor {
-                    None => anchor = Some(n.index()),
-                    Some(a) => dsu.union(a, n.index()),
-                }
-            }
-        }
-    }
-    let mut root_to_shard: Vec<usize> = vec![usize::MAX; nodes];
-    let mut shard_scans: Vec<Vec<usize>> = Vec::new();
-    let mut empty_scans = Vec::new();
-    for (si, scan) in scans.iter().enumerate() {
-        let Some(first) = scan.first().and_then(|r| r.candidates.first()) else {
-            empty_scans.push(si);
-            continue;
-        };
-        let root = dsu.find(first.index());
-        let shard = if root_to_shard[root] == usize::MAX {
-            root_to_shard[root] = shard_scans.len();
-            shard_scans.push(Vec::new());
-            shard_scans.len() - 1
-        } else {
-            root_to_shard[root]
-        };
-        shard_scans[shard].push(si);
-    }
-    if shard_scans.len() < 2 {
-        return None;
-    }
-    let mut shard_nodes: Vec<Vec<usize>> = vec![Vec::new(); shard_scans.len()];
-    for n in 0..nodes {
-        if !seen[n] {
-            continue;
-        }
-        let shard = root_to_shard[dsu.find(n)];
-        if shard != usize::MAX {
-            shard_nodes[shard].push(n);
-        }
-    }
-    Some(ShardPlan {
-        shard_scans,
-        shard_nodes,
-        empty_scans,
-    })
-}
-
-impl MaxOfMins {
-    /// Sequential batch path: one scratch reused across every scan, with
-    /// observations recorded scan-by-scan exactly as per-scan `route`
-    /// calls would have.
-    fn route_batch_serial(
-        &self,
-        scans: &[Vec<FragmentRequest>],
-        queues: &mut QueueView,
-    ) -> Result<Vec<Vec<Assignment>>, RouteError> {
-        let mut scratch = Scratch::default();
-        let mut obs_waits = Vec::new();
-        let mut out = Vec::with_capacity(scans.len());
-        let mut requests = 0u64;
-        // One session check for the whole batch instead of a thread-local
-        // round-trip per sample; with no session live, skip the replay and
-        // the span computation outright.
-        let obs_active = crate::obs_hooks::is_active();
-        for scan in scans {
-            obs_waits.clear();
-            let assignments = self.route_scan_into(scan, queues, &mut scratch, &mut obs_waits)?;
-            if obs_active {
-                for &w in &obs_waits {
-                    crate::obs_hooks::record("routing.queue_wait_tuples", w);
-                }
-                // Counters are additive, so the batch folds them into two
-                // `counter_add`s below; the per-scan span histogram sample
-                // must stay per scan to match what per-scan routing records.
-                crate::obs_hooks::record("routing.query_span", span(&assignments) as u64);
-            }
-            requests = requests.saturating_add(assignments.len() as u64);
-            out.push(assignments);
-        }
-        crate::obs_hooks::counter_add("routing.scans_routed", out.len() as u64);
-        crate::obs_hooks::counter_add("routing.requests", requests);
-        Ok(out)
-    }
-
-    /// Sharded batch path: each node-disjoint shard routes its scans on a
-    /// persistent-pool worker against a private queue copy; the caller
-    /// merges final waits per shard (disjoint, so order-free) and replays
-    /// every observation in original scan order. Workers touch no
-    /// observability session, so same-seed snapshots stay byte-identical
-    /// at any core count.
-    fn route_batch_sharded(
-        &self,
-        scans: Vec<Vec<FragmentRequest>>,
-        queues: &mut QueueView,
-        plan: ShardPlan,
-    ) -> Result<Vec<Vec<Assignment>>, RouteError> {
-        // Per scan: its index, its assignments, and how many of the shard's
-        // flat observation buffer entries belong to it. One flat `Vec<u64>`
-        // per shard (instead of one per scan) keeps the worker loop free of
-        // per-scan allocations.
-        type ScanOut = (usize, Vec<Assignment>, usize);
-        // Slot per scan: assignments plus where its observations live
-        // (shard index, offset into that shard's flat buffer, count).
-        type ScanSlot = (Vec<Assignment>, usize, usize, usize);
-        let phi = self.phi;
-        let base_waits = queues.waits.clone();
-        let shared = Arc::new(scans);
-        let scans_ref = Arc::clone(&shared);
-        let shard_results = nashdb_par::map_vec(plan.shard_scans, 1, move |_, shard| {
-            let router = MaxOfMins { phi };
-            let mut q = QueueView {
-                waits: base_waits.clone(),
-            };
-            let mut scratch = Scratch::default();
-            let mut per_scan: Vec<ScanOut> = Vec::with_capacity(shard.len());
-            let mut obs = Vec::new();
-            for si in shard {
-                let before = obs.len();
-                let assignments =
-                    router.route_scan_into(&scans_ref[si], &mut q, &mut scratch, &mut obs)?;
-                per_scan.push((si, assignments, obs.len() - before));
-            }
-            Ok::<_, RouteError>((per_scan, obs, q.waits))
-        });
-        // Check every shard before mutating `queues`: an (impossible in
-        // practice) invariant error must leave the caller's view untouched.
-        let mut merged = Vec::with_capacity(shard_results.len());
-        for res in shard_results {
-            merged.push(res?);
-        }
-        let mut slots: Vec<Option<ScanSlot>> = Vec::new();
-        slots.resize_with(shared.len(), || None);
-        for si in plan.empty_scans {
-            slots[si] = Some((Vec::new(), 0, 0, 0));
-        }
-        let mut shard_obs = Vec::with_capacity(merged.len());
-        for (shard_idx, (per_scan, obs, final_waits)) in merged.into_iter().enumerate() {
-            let mut offset = 0usize;
-            for (si, assignments, obs_len) in per_scan {
-                slots[si] = Some((assignments, shard_idx, offset, obs_len));
-                offset += obs_len;
-            }
-            shard_obs.push(obs);
-            for &n in &plan.shard_nodes[shard_idx] {
-                queues.waits[n] = final_waits[n];
-            }
-        }
-        let mut out = Vec::with_capacity(shared.len());
-        let mut requests = 0u64;
-        let obs_active = crate::obs_hooks::is_active();
-        for (si, slot) in slots.into_iter().enumerate() {
-            let Some((assignments, shard_idx, offset, obs_len)) = slot else {
-                // Every scan is in exactly one shard or the empty list, so
-                // a hole is a planner bug — surface it typed.
-                return Err(RouteError::InvariantBreach {
-                    fragment: shared[si]
-                        .first()
-                        .map(|r| r.fragment)
-                        .unwrap_or(FragmentId(0)),
-                });
-            };
-            if obs_active {
-                for &w in &shard_obs[shard_idx][offset..offset + obs_len] {
-                    crate::obs_hooks::record("routing.queue_wait_tuples", w);
-                }
-                crate::obs_hooks::record("routing.query_span", span(&assignments) as u64);
-            }
-            requests = requests.saturating_add(assignments.len() as u64);
-            out.push(assignments);
-        }
-        crate::obs_hooks::counter_add("routing.scans_routed", out.len() as u64);
-        crate::obs_hooks::counter_add("routing.requests", requests);
+        record_scan_metrics(out.len(), || span);
         Ok(out)
     }
 }
 
 std::thread_local! {
     /// Per-thread router scratch reused across [`ScanRouter::route`] calls.
-    /// `reset_for_scan` re-initializes everything a scan reads, and node
-    /// version stamps are monotonic, so reuse is semantically invisible —
-    /// the same property `route_batch` relies on when it threads one
-    /// scratch through a whole batch.
+    /// `reset_for_scan` re-initializes everything a scan reads, so reuse is
+    /// semantically invisible.
     static ROUTE_SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
 }
 
@@ -940,50 +457,14 @@ impl ScanRouter for MaxOfMins {
         queues: &mut QueueView,
     ) -> Result<Vec<Assignment>, RouteError> {
         validate_requests(requests)?;
-        let mut obs_waits = Vec::with_capacity(requests.len());
-        let out = ROUTE_SCRATCH.with(|cell| {
+        ROUTE_SCRATCH.with(|cell| {
             // Re-entrant `route` calls (e.g. from an obs hook) would hit a
             // second `borrow_mut`; fall back to a fresh scratch for them.
             match cell.try_borrow_mut() {
-                Ok(mut scratch) => {
-                    self.route_scan_into(requests, queues, &mut scratch, &mut obs_waits)
-                }
-                Err(_) => {
-                    self.route_scan_into(requests, queues, &mut Scratch::default(), &mut obs_waits)
-                }
+                Ok(mut scratch) => self.route_scan_into(requests, queues, &mut scratch),
+                Err(_) => self.route_scan_into(requests, queues, &mut Scratch::default()),
             }
-        })?;
-        for &w in &obs_waits {
-            crate::obs_hooks::record("routing.queue_wait_tuples", w);
-        }
-        record_scan_metrics(&out);
-        Ok(out)
-    }
-
-    fn route_batch(
-        &self,
-        scans: Vec<Vec<FragmentRequest>>,
-        queues: &mut QueueView,
-    ) -> Result<Vec<Vec<Assignment>>, RouteError> {
-        for scan in &scans {
-            validate_requests(scan)?;
-        }
-        // Sharding only pays when shards actually run concurrently; on a
-        // single-core host the pool degrades to serial execution and the
-        // shard bookkeeping is pure overhead, so route the batch through
-        // the one-scratch sequential path instead. (Shard planning and the
-        // sharded path stay covered by tests that invoke them directly.)
-        let plan = if nashdb_par::max_threads() > 1 {
-            plan_shards(&scans)
-        } else {
-            None
-        };
-        let out = match plan {
-            Some(plan) => self.route_batch_sharded(scans, queues, plan)?,
-            None => self.route_batch_serial(&scans, queues)?,
-        };
-        record_batch_metrics(out.len());
-        Ok(out)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -1073,9 +554,9 @@ pub mod reference {
     /// The batch specification: validate every scan up front, then route
     /// each scan with [`max_of_mins`] against the same evolving queue view.
     /// This sequential threading *is* the semantics
-    /// [`ScanRouter::route_batch`](super::ScanRouter::route_batch)
-    /// implementations (including the sharded one) must reproduce exactly —
-    /// assignments, selection order, and final queue waits.
+    /// [`ScanRouter::route_batch`](super::ScanRouter::route_batch) must
+    /// reproduce exactly — assignments, selection order, and final queue
+    /// waits.
     pub fn max_of_mins_batch(
         phi: u64,
         scans: &[Vec<FragmentRequest>],
@@ -1087,13 +568,12 @@ pub mod reference {
         scans.iter().map(|s| max_of_mins(phi, s, queues)).collect()
     }
 
-    /// The incremental router as it ran *before batching*: one scan per
-    /// call, every piece of scratch state (inverted index, cached bests,
-    /// heap) allocated fresh each call. Retained as the executable spec of
-    /// the per-arrival path so `nashdb-bench perf` measures the batch
-    /// router against the formulation it replaced — that per-call setup is
-    /// exactly what batching amortizes. Identical assignments (and
-    /// assignment order) to [`MaxOfMins`](super::MaxOfMins).
+    /// The incremental router with every piece of scratch state (inverted
+    /// index, cached bests, heap) allocated fresh each call. Retained as
+    /// the executable spec of the per-arrival path so `nashdb-bench perf`
+    /// measures the batch router against it — that per-call setup is what
+    /// [`MaxOfMins`](super::MaxOfMins)'s reused scratch amortizes.
+    /// Identical assignments (and assignment order) to `MaxOfMins`.
     pub fn incremental_per_scan(
         phi: u64,
         requests: &[FragmentRequest],
@@ -1212,7 +692,7 @@ pub mod reference {
                 });
             }
         }
-        super::record_scan_metrics(&out);
+        super::record_scan_metrics(out.len(), || super::span(&out));
         Ok(out)
     }
 }
@@ -1296,7 +776,7 @@ impl ScanRouter for PowerOfTwoChoices {
                 }
             })
             .collect();
-        record_scan_metrics(&out);
+        record_scan_metrics(out.len(), || span(&out));
         Ok(out)
     }
 
@@ -1572,37 +1052,10 @@ mod tests {
         assert_eq!(out[0].node, NodeId(1));
     }
 
-    /// Zoned batch: scan `i` belongs to zone `i % zones` and only lists
-    /// candidates inside its zone's node range, so the batch decomposes
-    /// into `zones` node-disjoint shards with interleaved scan order.
-    fn zoned_batch(
-        zones: usize,
-        scans_per_zone: usize,
-        nodes_per_zone: usize,
-    ) -> Vec<Vec<FragmentRequest>> {
-        let mut scans = Vec::new();
-        for i in 0..zones * scans_per_zone {
-            let zone = i % zones;
-            let base = (zone * nodes_per_zone) as u64;
-            let reqs: Vec<FragmentRequest> = (0..3)
-                .map(|k| {
-                    let f = (i * 3 + k) as u64;
-                    let cands: Vec<u64> = (0..nodes_per_zone as u64)
-                        .map(|n| base + (n + f) % nodes_per_zone as u64)
-                        .take(3)
-                        .collect();
-                    req(f, 10 + (f * 7) % 90, &cands)
-                })
-                .collect();
-            scans.push(reqs);
-        }
-        scans
-    }
-
     #[test]
     fn small_batch_matches_sequential_and_reference() {
-        // Below MIN_SHARD_SCANS: the serial scratch-reuse path. All scans
-        // share nodes, so this also exercises cross-scan queue threading.
+        // All scans share nodes, so this exercises cross-scan queue
+        // threading through the reused scratch.
         let router = MaxOfMins::new(35);
         let scans: Vec<Vec<FragmentRequest>> = (0..10)
             .map(|i| {
@@ -1625,52 +1078,6 @@ mod tests {
         for n in 0..4 {
             assert_eq!(q_batch.wait(NodeId(n)), q_seq.wait(NodeId(n)));
             assert_eq!(q_batch.wait(NodeId(n)), q_ref.wait(NodeId(n)));
-        }
-    }
-
-    #[test]
-    fn sharded_batch_matches_reference() {
-        // 3 zones × 40 scans = 120 ≥ MIN_SHARD_SCANS with 3 disjoint
-        // shards: the pool-sharded path must equal the sequential spec on
-        // assignments, per-scan order, and final queue waits.
-        let scans = zoned_batch(3, 40, 4);
-        for phi in [0, 35, 100_000] {
-            let router = MaxOfMins::new(phi);
-            let mut q_batch = QueueView::new(12);
-            let mut q_ref = QueueView::new(12);
-            // Invoke the sharded path directly: `route_batch` prefers the
-            // serial path on single-core hosts, and this contract must hold
-            // wherever the tests run.
-            let plan = plan_shards(&scans).expect("zoned batch must decompose into shards");
-            let batch = router
-                .route_batch_sharded(scans.clone(), &mut q_batch, plan)
-                .unwrap();
-            let reference = reference::max_of_mins_batch(phi, &scans, &mut q_ref).unwrap();
-            assert_eq!(batch, reference, "phi {phi}");
-            for n in 0..12 {
-                assert_eq!(
-                    q_batch.wait(NodeId(n)),
-                    q_ref.wait(NodeId(n)),
-                    "phi {phi}, node {n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_batch_is_deterministic_across_repeats() {
-        let scans = zoned_batch(4, 30, 3);
-        let route_once = || {
-            let mut q = QueueView::new(12);
-            let plan = plan_shards(&scans).expect("zoned batch must decompose into shards");
-            let out = MaxOfMins::new(42)
-                .route_batch_sharded(scans.clone(), &mut q, plan)
-                .unwrap();
-            (out, (0..12).map(|n| q.wait(NodeId(n))).collect::<Vec<_>>())
-        };
-        let first = route_once();
-        for _ in 0..3 {
-            assert_eq!(route_once(), first);
         }
     }
 
@@ -1701,33 +1108,35 @@ mod tests {
     #[test]
     fn empty_scans_route_to_empty_assignments() {
         let router = MaxOfMins::new(10);
-        // Mix empty scans into a sharded-size batch so both the planner's
-        // empty-scan slots and the serial path's trivial case are covered.
-        let mut scans = zoned_batch(2, 40, 3);
+        let mut scans: Vec<Vec<FragmentRequest>> = (0..6)
+            .map(|i| {
+                vec![
+                    req(2 * i, 10 + i, &[i % 3, (i + 1) % 3]),
+                    req(2 * i + 1, 5, &[2]),
+                ]
+            })
+            .collect();
         scans.insert(0, Vec::new());
-        scans.insert(37, Vec::new());
-        let mut q_batch = QueueView::new(6);
-        let mut q_serial = QueueView::new(6);
-        let mut q_ref = QueueView::new(6);
-        let plan = plan_shards(&scans).expect("zoned batch must decompose into shards");
-        let batch = router
-            .route_batch_sharded(scans.clone(), &mut q_batch, plan)
-            .unwrap();
-        let serial = router.route_batch_serial(&scans, &mut q_serial).unwrap();
+        scans.insert(4, Vec::new());
+        let mut q_batch = QueueView::new(3);
+        let mut q_ref = QueueView::new(3);
+        let batch = router.route_batch(scans.clone(), &mut q_batch).unwrap();
         let reference = reference::max_of_mins_batch(10, &scans, &mut q_ref).unwrap();
         assert_eq!(batch, reference);
-        assert_eq!(serial, reference);
         assert!(batch[0].is_empty());
-        assert!(batch[37].is_empty());
+        assert!(batch[4].is_empty());
+        for n in 0..3 {
+            assert_eq!(q_batch.wait(NodeId(n)), q_ref.wait(NodeId(n)));
+        }
     }
 
     #[test]
-    fn kbest_cache_survives_adversarial_enqueue_patterns() {
-        // Candidate lists wider than K_BEST, every request sharing one hot
-        // node (forcing offers on the ϕ flip), repeated placements driving
-        // every cached entry past the cutoff (forcing rebuilds), plus a
-        // deterministic LCG mix of sizes and preloaded waits. The naive
-        // reference is the oracle throughout.
+    fn wide_candidate_lists_match_reference() {
+        // Ten candidates per request, every request sharing one hot node
+        // (its ϕ flip undercuts many announced minima at once), repeated
+        // placements forcing re-derivations, plus a deterministic LCG mix
+        // of sizes and preloaded waits. The naive reference is the oracle
+        // throughout.
         let mut lcg = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move || {
             lcg = lcg
@@ -1765,8 +1174,8 @@ mod tests {
 
     #[test]
     fn default_route_batch_threads_queues_for_any_router() {
-        // The trait's default batch path (used by PowerOfTwoChoices) is
-        // per-scan routing in order; check queue threading end-to-end.
+        // The trait's default batch path (the only one) is per-scan routing
+        // in order; check queue threading end-to-end.
         let router = PowerOfTwoChoices::new(10, 99);
         let scans: Vec<Vec<FragmentRequest>> =
             (0..6).map(|i| vec![req(i, 50, &[0, 1, 2])]).collect();
@@ -1777,36 +1186,32 @@ mod tests {
         assert_eq!(total, 6 * 50);
     }
 
-    /// The sharded and serial batch paths must leave *byte-identical*
-    /// scrubbed observability snapshots: workers record nothing, the caller
-    /// replays every observation in scan order, so the recorded stream is a
-    /// pure function of the input regardless of how the batch was split.
-    // nashdb-lint: allow(obs-fallback-parity) -- obs-only test, not API: without the feature there is no snapshot to compare, so a twin would be an empty body
+    /// Under a live session, `MaxOfMins` records one wait sample per
+    /// placement, the per-scan counters, and a span sample that — counted
+    /// from first touches rather than hashed — equals [`span`] of the
+    /// scan's assignments.
+    // nashdb-lint: allow(obs-fallback-parity) -- obs-only test, not API: without the feature there is no snapshot to inspect, so a twin would be an empty body
     #[cfg(feature = "obs")]
     #[test]
-    fn sharded_and_serial_batches_leave_identical_scrubbed_snapshots() {
-        let scans = zoned_batch(3, 40, 4);
-        let snapshot_of = |sharded: bool| {
-            let router = MaxOfMins::new(35);
+    fn session_records_waits_counters_and_first_touch_span() {
+        let router = MaxOfMins::new(35);
+        let mut q = QueueView::from_waits(vec![0, 40, 5, 90, 10]);
+        for i in 0..12u64 {
+            let scan: Vec<FragmentRequest> = (0..1 + i % 5)
+                .map(|k| req(k, 10 + 7 * i, &[(i + k) % 5, (2 * i + k + 1) % 5]))
+                .collect();
             let session = nashdb_obs::ObsSession::start();
-            let mut q = QueueView::new(12);
-            if sharded {
-                let plan = plan_shards(&scans).expect("zoned batch must decompose into shards");
-                router
-                    .route_batch_sharded(scans.clone(), &mut q, plan)
-                    .unwrap();
-            } else {
-                router.route_batch_serial(&scans, &mut q).unwrap();
-            }
-            let mut snap = session.finish();
-            snap.scrub_timings();
-            snap.to_json_string()
-        };
-        let sharded = snapshot_of(true);
-        let serial = snapshot_of(false);
-        assert_eq!(sharded, serial);
-        // Same-seed determinism: repeat runs are byte-identical too.
-        assert_eq!(sharded, snapshot_of(true));
+            let out = router.route(&scan, &mut q).unwrap();
+            let snap = session.finish();
+            let spans = snap.histogram("routing.query_span").expect("span sample");
+            assert_eq!((spans.count, spans.max), (1, span(&out) as u64), "scan {i}");
+            let waits = snap
+                .histogram("routing.queue_wait_tuples")
+                .expect("wait samples");
+            assert_eq!(waits.count, scan.len() as u64);
+            assert_eq!(snap.counter("routing.scans_routed"), Some(1));
+            assert_eq!(snap.counter("routing.requests"), Some(scan.len() as u64));
+        }
     }
 
     #[test]

@@ -431,13 +431,9 @@ impl Distributor for NashDbDistributor {
         let cfg = self.cfg;
         let converged = self.converged;
         let fork = nashdb_obs::fork();
-        // The persistent pool takes owned jobs, so the tables travel by
-        // value and come back (in table order) alongside the results.
-        let tables = std::mem::take(&mut self.tables);
-        let (tables, per_table) = nashdb_par::map_mut_vec(tables, 1, move |t_idx, t| {
+        let per_table = nashdb_par::map_mut(&mut self.tables, 1, |t_idx, t| {
             fork.run(|| table_fragments(&cfg, converged, t_idx, t))
         });
-        self.tables = tables;
         let mut globals: Vec<GlobalFragment> = Vec::new();
         let mut stats: Vec<FragmentStats> = Vec::new();
         for (t_idx, (table_stats, metrics)) in per_table.into_iter().enumerate() {
