@@ -88,10 +88,11 @@ mod tests {
             .collect();
         let prefix = ChunkPrefix::new(&chunks).unwrap();
         for k in 2..=6 {
-            let dt_err = dt_fragmentation(&chunks, k).total_error(&prefix);
+            let dt_err = dt_fragmentation(&chunks, k).total_error(&prefix).unwrap();
             let opt_err = optimal_fragmentation(&chunks, k)
                 .unwrap()
-                .total_error(&prefix);
+                .total_error(&prefix)
+                .unwrap();
             assert!(
                 dt_err + 1e-9 >= opt_err,
                 "k={k}: dt {dt_err} < opt {opt_err}"
@@ -114,10 +115,11 @@ mod tests {
             chunk(40, 50, 0.0),
         ];
         let prefix = ChunkPrefix::new(&chunks).unwrap();
-        let dt_err = dt_fragmentation(&chunks, 3).total_error(&prefix);
+        let dt_err = dt_fragmentation(&chunks, 3).total_error(&prefix).unwrap();
         let opt_err = optimal_fragmentation(&chunks, 3)
             .unwrap()
-            .total_error(&prefix);
+            .total_error(&prefix)
+            .unwrap();
         assert!(dt_err >= opt_err);
     }
 }

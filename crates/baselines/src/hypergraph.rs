@@ -228,7 +228,8 @@ impl Distributor for HypergraphDistributor {
         let total = self.db.total_tuples();
         let scans: Vec<(u64, u64)> = self.window.iter().copied().collect();
         let partition = hypergraph_fragmentation(&scans, total, self.parts);
-        let partition = split_oversized(&partition, self.disk);
+        // `new` rejects a zero disk, so the split cannot fail.
+        let partition = split_oversized(&partition, self.disk).unwrap_or(partition);
 
         // Each partition piece -> fragments (cut at table boundaries), all
         // primary on one node per *original* partition piece.

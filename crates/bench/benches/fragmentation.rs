@@ -7,7 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use nashdb_baselines::dt_fragmentation;
-use nashdb_core::fragment::{optimal_fragmentation, GreedyFragmenter};
+use nashdb_core::fragment::{optimal_fragmentation, ChunkPrefix, GreedyFragmenter};
 use nashdb_core::value::Chunk;
 use nashdb_sim::SimRng;
 
@@ -32,6 +32,9 @@ fn bench_algorithms(c: &mut Criterion) {
     let k = 32;
     for m in [64usize, 128, 256] {
         let chunks = chunk_series(m, 7);
+        let Ok(prefix) = ChunkPrefix::new(&chunks) else {
+            continue; // chunk_series is contiguous from zero
+        };
         group.bench_with_input(BenchmarkId::new("optimal_dp", m), &m, |b, _| {
             b.iter(|| black_box(optimal_fragmentation(&chunks, k).map_or(0, |f| f.len())));
         });
@@ -39,7 +42,7 @@ fn bench_algorithms(c: &mut Criterion) {
             b.iter(|| {
                 let table = chunks.last().map_or(0, |c| c.end);
                 let mut g = GreedyFragmenter::new(table, k);
-                g.run(&chunks, 4 * k);
+                g.run(&prefix, 4 * k);
                 black_box(g.len())
             });
         });
@@ -57,10 +60,14 @@ fn bench_incremental_round(c: &mut Criterion) {
     for m in [64usize, 256] {
         let chunks = chunk_series(m, 9);
         let table = chunks.last().map_or(0, |c| c.end);
-        let mut g = GreedyFragmenter::new(table, 32);
-        g.run(&chunks, 128);
         // A shifted value function over the same table span.
         let shifted = respan(&chunk_series(m, 10), table);
+        let (Ok(start), Ok(shifted)) = (ChunkPrefix::new(&chunks), ChunkPrefix::new(&shifted))
+        else {
+            continue; // chunk_series and respan are contiguous from zero
+        };
+        let mut g = GreedyFragmenter::new(table, 32);
+        g.run(&start, 128);
         group.bench_with_input(BenchmarkId::new("step", m), &m, |b, _| {
             b.iter(|| {
                 let mut g2 = g.clone();

@@ -49,8 +49,9 @@ pub fn run_market() {
             est.observe(PricedScan::new(a, (a + len).min(table), 1.0));
         }
         let chunks = est.chunks(table);
-        let frag = split_oversized(&Fragmentation::single(table), (table / frags as u64).max(1));
-        let stats = fragment_stats(&frag, &chunks).unwrap_or_default();
+        let stats = split_oversized(&Fragmentation::single(table), (table / frags as u64).max(1))
+            .and_then(|frag| fragment_stats(&frag, &ChunkPrefix::new(&chunks)?))
+            .unwrap_or_default();
         let policy =
             ReplicationPolicy::new(WINDOW, NodeSpec::new(0.25, 1_000_000)).with_max_replicas(4_096);
 
@@ -123,14 +124,17 @@ pub fn run_merge2() {
                 }
                 for &t in &touched {
                     let chunks = tables[t].0.chunks(tables[t].2);
-                    tables[t].1.run(&chunks, 4);
+                    if let Ok(prefix) = ChunkPrefix::new(&chunks) {
+                        tables[t].1.run(&prefix, 4);
+                    }
                 }
                 for (est, frag, len) in &tables {
                     let chunks = est.chunks(*len);
                     let Ok(prefix) = ChunkPrefix::new(&chunks) else {
                         continue; // estimator never emits malformed chunks
                     };
-                    sums[slot] += frag.fragmentation().total_error(&prefix);
+                    // Fragmenter and estimator cover the same table.
+                    sums[slot] += frag.fragmentation().total_error(&prefix).unwrap_or(0.0);
                 }
             }
         }

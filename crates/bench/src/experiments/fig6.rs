@@ -10,7 +10,7 @@
 use std::collections::VecDeque;
 
 use nashdb_baselines::{dt_fragmentation, hypergraph_fragmentation, naive_fragmentation};
-use nashdb_core::fragment::{optimal_fragmentation, ChunkPrefix, GreedyFragmenter};
+use nashdb_core::fragment::{optimal_fragmentation, ChunkPrefix, Fragmentation, GreedyFragmenter};
 use nashdb_core::value::{PricedScan, TupleValueEstimator};
 use nashdb_workload::Workload;
 
@@ -68,15 +68,17 @@ impl TableTrack {
             return; // estimator never emits malformed chunks
         };
         let scans: Vec<(u64, u64)> = self.scans.iter().copied().collect();
-        self.greedy.run(&chunks, greedy_rounds);
+        self.greedy.run(&prefix, greedy_rounds);
+        // MAX_FRAGS > 0, the chunks just validated and every fragmentation
+        // covers this table, so none of these fail; 0.0 keeps the table
+        // printable if one ever does.
+        let error = |f: &Fragmentation| f.total_error(&prefix).unwrap_or(0.0);
         self.cached = [
-            // MAX_FRAGS > 0 and the chunks just validated, so this cannot
-            // fail; 0.0 keeps the table printable if it ever does.
-            optimal_fragmentation(&chunks, MAX_FRAGS).map_or(0.0, |f| f.total_error(&prefix)),
-            self.greedy.fragmentation().total_error(&prefix),
-            dt_fragmentation(&chunks, MAX_FRAGS).total_error(&prefix),
-            naive_fragmentation(self.len, MAX_FRAGS).total_error(&prefix),
-            hypergraph_fragmentation(&scans, self.len, MAX_FRAGS).total_error(&prefix),
+            optimal_fragmentation(&chunks, MAX_FRAGS).map_or(0.0, |f| error(&f)),
+            error(&self.greedy.fragmentation()),
+            error(&dt_fragmentation(&chunks, MAX_FRAGS)),
+            error(&naive_fragmentation(self.len, MAX_FRAGS)),
+            error(&hypergraph_fragmentation(&scans, self.len, MAX_FRAGS)),
         ];
     }
 }

@@ -319,9 +319,13 @@ pub fn audit_fragmentation(
     }
     if !chunks.is_empty() && chunks.len() <= OPTIMALITY_CHUNK_LIMIT {
         let prefix = ChunkPrefix::new(chunks).map_err(AuditError::InvalidChunks)?;
-        let actual = frag.total_error(&prefix);
+        let actual = frag
+            .total_error(&prefix)
+            .map_err(AuditError::InvalidChunks)?;
         let best = optimal_fragmentation(chunks, frag.len()).map_err(AuditError::InvalidChunks)?;
-        let optimal = best.total_error(&prefix);
+        let optimal = best
+            .total_error(&prefix)
+            .map_err(AuditError::InvalidChunks)?;
         // Relative tolerance: errors scale with value² × tuples.
         let tol = AUDIT_EPSILON * (1.0 + optimal.abs());
         if actual < optimal - tol {
@@ -624,7 +628,8 @@ mod tests {
 
     fn scheme() -> ClusterScheme {
         let frag = Fragmentation::from_boundaries(vec![0, 10, 60, 100]);
-        let stats = fragment_stats(&frag, &chunks()).unwrap();
+        let prefix = crate::fragment::ChunkPrefix::new(&chunks()).unwrap();
+        let stats = fragment_stats(&frag, &prefix).unwrap();
         let policy = ReplicationPolicy::new(10, NodeSpec::new(1.0, 120));
         ClusterScheme::build(&stats, policy).unwrap()
     }

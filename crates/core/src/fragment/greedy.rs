@@ -16,11 +16,13 @@
 //!
 //! Candidate cut points are the chunk boundaries of the current value
 //! function: the optimal split of a piecewise-constant function always falls
-//! on a value change (the paper's Appendix C optimization).
+//! on a value change (the paper's Appendix C optimization). A step resolves
+//! each live boundary against the prefix arrays once (a boundary left from
+//! an older value function may fall inside a chunk); every candidate is a
+//! chunk bound read by index, so the split and merge scans do no search.
 
-use super::prefix::ChunkPrefix;
+use super::prefix::{total_error, ChunkPrefix, Cut};
 use super::Fragmentation;
-use crate::value::Chunk;
 
 /// Minimum *absolute* error reduction for a split to be applied (paper
 /// footnote 2: "one might wish only to split a fragment if the reduction …
@@ -32,7 +34,7 @@ pub const DEFAULT_MIN_SPLIT_GAIN: f64 = 0.0;
 
 /// Relative gain floor: a split must reduce its fragment's error by more
 /// than this fraction to be considered genuine rather than float residue.
-const REL_EPSILON: f64 = 1e-9;
+pub(super) const REL_EPSILON: f64 = 1e-9;
 
 /// How the fragmenter reclaims fragments once at the cap.
 ///
@@ -154,19 +156,11 @@ impl GreedyFragmenter {
     /// if the merge+split pair does not reduce total error (so the greedy
     /// trajectory is monotone and cannot oscillate at the cap).
     ///
-    /// Malformed chunks, or chunks covering a different table than this
-    /// fragmenter, leave the fragmentation untouched and report
+    /// A value function covering a different table than this fragmenter
+    /// leaves the fragmentation untouched and reports
     /// [`StepOutcome::Stable`]; debug builds assert so tests catch the
     /// contract violation.
-    pub fn step(&mut self, chunks: &[Chunk]) -> StepOutcome {
-        let Ok(prefix) = ChunkPrefix::new(chunks) else {
-            debug_assert!(
-                ChunkPrefix::new(chunks).is_ok(),
-                "malformed value chunks: {:?}",
-                ChunkPrefix::new(chunks).err()
-            );
-            return StepOutcome::Stable;
-        };
+    pub fn step(&mut self, prefix: &ChunkPrefix) -> StepOutcome {
         let table_len = self.boundaries.last().map_or(0, |&b| b);
         debug_assert_eq!(
             prefix.table_len(),
@@ -176,10 +170,11 @@ impl GreedyFragmenter {
         if prefix.table_len() != table_len {
             return StepOutcome::Stable;
         }
+        let mut cuts: Vec<Cut> = self.boundaries.iter().map(|&b| prefix.cut(b)).collect();
 
         if self.len() < self.max_frags {
-            if let Some((frag_idx, point, _gain)) = self.best_split(&prefix) {
-                self.boundaries.insert(frag_idx + 1, point);
+            if let Some((frag_idx, point, _gain)) = self.best_split(prefix, &cuts) {
+                self.boundaries.insert(frag_idx + 1, point.pos);
                 return StepOutcome::Changed;
             }
             return StepOutcome::Stable;
@@ -193,39 +188,34 @@ impl GreedyFragmenter {
         if self.len() < need {
             return StepOutcome::Stable;
         }
-        let before_boundaries = self.boundaries.clone();
-        let before_err = self.total_error_against(&prefix);
+        // Merge and re-split on the resolved copy; the boundaries only
+        // change if the pair pays.
+        let before_err = total_error(&cuts);
         match self.merge_policy {
-            MergePolicy::TripleToPair => self.apply_best_merge(&prefix),
-            MergePolicy::PairToOne => self.apply_best_pair_merge(&prefix),
+            MergePolicy::TripleToPair => apply_best_merge(prefix, &mut cuts),
+            MergePolicy::PairToOne => apply_best_pair_merge(&mut cuts),
         }
-        if let Some((frag_idx, point, _gain)) = self.best_split(&prefix) {
-            self.boundaries.insert(frag_idx + 1, point);
+        if let Some((frag_idx, point, _gain)) = self.best_split(prefix, &cuts) {
+            cuts.insert(frag_idx + 1, point);
         }
-        let after_err = self.total_error_against(&prefix);
+        let after_err = total_error(&cuts);
         let floor = self.min_split_gain + (REL_EPSILON + self.min_relative_gain) * before_err;
         if after_err < before_err - floor {
+            self.boundaries = cuts.iter().map(|c| c.pos).collect();
             StepOutcome::Changed
         } else {
-            self.boundaries = before_boundaries;
             StepOutcome::Stable
         }
     }
 
-    fn total_error_against(&self, prefix: &ChunkPrefix) -> f64 {
-        self.boundaries
-            .windows(2)
-            .map(|w| prefix.error(w[0], w[1]))
-            .sum()
-    }
-
-    /// Runs up to `rounds` steps, stopping early once stable. Returns the
-    /// number of rounds that changed the fragmentation.
-    pub fn run(&mut self, chunks: &[Chunk], rounds: usize) -> usize {
+    /// Runs up to `rounds` steps against one value function, stopping early
+    /// once stable. Returns the number of rounds that changed the
+    /// fragmentation.
+    pub fn run(&mut self, prefix: &ChunkPrefix, rounds: usize) -> usize {
         let watch = crate::obs_hooks::stopwatch();
         let mut changed = 0;
         for _ in 0..rounds {
-            match self.step(chunks) {
+            match self.step(prefix) {
                 StepOutcome::Changed => changed += 1,
                 StepOutcome::Stable => break,
             }
@@ -236,14 +226,15 @@ impl GreedyFragmenter {
         changed
     }
 
-    /// Finds the globally best split: `(fragment_index, cut_point, gain)`
-    /// maximizing `Err(f) − (Err(left) + Err(right))`, or `None` if no split
-    /// clears the minimum gain.
-    fn best_split(&self, prefix: &ChunkPrefix) -> Option<(usize, u64, f64)> {
-        let mut best: Option<(usize, u64, f64)> = None;
-        for (idx, w) in self.boundaries.windows(2).enumerate() {
-            let (a, b) = (w[0], w[1]);
-            let whole = prefix.error(a, b);
+    /// Finds the globally best split over the resolved boundaries `cuts`:
+    /// `(fragment_index, cut_point, gain)` maximizing
+    /// `Err(f) − (Err(left) + Err(right))`, or `None` if no split clears
+    /// the minimum gain.
+    fn best_split(&self, prefix: &ChunkPrefix, cuts: &[Cut]) -> Option<(usize, Cut, f64)> {
+        let mut best: Option<(usize, Cut, f64)> = None;
+        for (idx, w) in cuts.windows(2).enumerate() {
+            let (a, b) = (&w[0], &w[1]);
+            let whole = a.error_to(b);
             if whole <= self.min_split_gain {
                 continue; // already uniform; no split can gain enough
             }
@@ -261,62 +252,57 @@ impl GreedyFragmenter {
         }
         best
     }
+}
 
-    /// Merges the adjacent triple whose optimal re-cut into two fragments
-    /// increases total error the least (paper §5.3.2).
-    fn apply_best_merge(&mut self, prefix: &ChunkPrefix) {
-        debug_assert!(self.len() >= 3);
-        let mut best: Option<(usize, u64, f64)> = None; // (first boundary idx, cut, delta)
-        for i in 0..self.len() - 2 {
-            let a = self.boundaries[i];
-            let b = self.boundaries[i + 1];
-            let c = self.boundaries[i + 2];
-            let d = self.boundaries[i + 3];
-            let old = prefix.error(a, b) + prefix.error(b, c) + prefix.error(c, d);
-            // The optimal two-way cut of [a, d): chunk boundaries plus the
-            // existing cuts b and c (which are always legal and guarantee a
-            // candidate even when no value change falls strictly inside).
-            // Cut b is always a valid candidate, so best_cut cannot come
-            // back empty; skip the triple rather than panic if it ever does.
-            let Some((point, new)) = best_cut(prefix, a, d, &[b, c]) else {
-                continue;
-            };
-            let delta = new - old;
-            if best.is_none_or(|(_, _, d0)| delta < d0) {
-                best = Some((i, point, delta));
-            }
-        }
-        // len >= 3 yields at least one triple; leave boundaries untouched
-        // in the impossible empty case instead of panicking.
-        let Some((i, point, _)) = best else {
-            return;
+/// Merges the adjacent triple whose optimal re-cut into two fragments
+/// increases total error the least (paper §5.3.2).
+fn apply_best_merge(prefix: &ChunkPrefix, cuts: &mut Vec<Cut>) {
+    debug_assert!(cuts.len() >= 4);
+    let mut best: Option<(usize, Cut, f64)> = None; // (first boundary idx, cut, delta)
+    for (i, w) in cuts.windows(4).enumerate() {
+        let (a, b, c, d) = (&w[0], &w[1], &w[2], &w[3]);
+        let old = a.error_to(b) + b.error_to(c) + c.error_to(d);
+        // The optimal two-way cut of [a, d): chunk boundaries plus the
+        // existing cuts b and c (which are always legal and guarantee a
+        // candidate even when no value change falls strictly inside).
+        // Cut b is always a valid candidate, so best_cut cannot come
+        // back empty; skip the triple rather than panic if it ever does.
+        let Some((point, new)) = best_cut(prefix, a, d, &[*b, *c]) else {
+            continue;
         };
-        // Replace boundaries b, c with the single cut `point`.
-        self.boundaries.splice(i + 1..i + 3, [point]);
-        debug_assert!(self.boundaries.windows(2).all(|w| w[0] < w[1]));
+        let delta = new - old;
+        if best.is_none_or(|(_, _, d0)| delta < d0) {
+            best = Some((i, point, delta));
+        }
     }
+    // Three fragments yield at least one triple; leave the boundaries
+    // untouched in the impossible empty case instead of panicking.
+    let Some((i, point, _)) = best else {
+        return;
+    };
+    // Replace boundaries b, c with the single cut `point`.
+    cuts.splice(i + 1..i + 3, [point]);
+    debug_assert!(cuts.windows(2).all(|w| w[0].pos < w[1].pos));
+}
 
-    /// The pairwise strawman: delete the interior boundary whose removal
-    /// increases total error the least.
-    fn apply_best_pair_merge(&mut self, prefix: &ChunkPrefix) {
-        debug_assert!(self.len() >= 2);
-        let mut best: Option<(usize, f64)> = None; // (boundary idx, delta)
-        for i in 1..self.boundaries.len() - 1 {
-            let a = self.boundaries[i - 1];
-            let b = self.boundaries[i];
-            let c = self.boundaries[i + 1];
-            let delta = prefix.error(a, c) - (prefix.error(a, b) + prefix.error(b, c));
-            if best.is_none_or(|(_, d0)| delta < d0) {
-                best = Some((i, delta));
-            }
+/// The pairwise strawman: delete the interior boundary whose removal
+/// increases total error the least.
+fn apply_best_pair_merge(cuts: &mut Vec<Cut>) {
+    debug_assert!(cuts.len() >= 3);
+    let mut best: Option<(usize, f64)> = None; // (boundary idx, delta)
+    for (i, w) in cuts.windows(3).enumerate() {
+        let (a, b, c) = (&w[0], &w[1], &w[2]);
+        let delta = a.error_to(c) - (a.error_to(b) + b.error_to(c));
+        if best.is_none_or(|(_, d0)| delta < d0) {
+            best = Some((i + 1, delta));
         }
-        // len >= 2 yields an interior boundary; a no-op beats a panic in
-        // the impossible empty case.
-        let Some((i, _)) = best else {
-            return;
-        };
-        self.boundaries.remove(i);
     }
+    // Two fragments yield an interior boundary; a no-op beats a panic in
+    // the impossible empty case.
+    let Some((i, _)) = best else {
+        return;
+    };
+    cuts.remove(i);
 }
 
 /// The best single cut of `[a, b)`: considers every chunk boundary strictly
@@ -324,18 +310,18 @@ impl GreedyFragmenter {
 /// minimized. `None` if there are no candidates.
 ///
 /// This is the paper's `FindSplit` (Algorithm 2) restricted to value-change
-/// points (Appendix C): linear in the number of candidates.
-fn best_cut(prefix: &ChunkPrefix, a: u64, b: u64, extra: &[u64]) -> Option<(u64, f64)> {
-    let bounds = prefix.bounds();
-    let lo = bounds.partition_point(|&x| x <= a);
-    let hi = bounds.partition_point(|&x| x < b);
-    let candidates = bounds[lo..hi]
-        .iter()
-        .copied()
-        .chain(extra.iter().copied().filter(|&p| p > a && p < b));
-    let mut best: Option<(u64, f64)> = None;
+/// points (Appendix C): linear in the number of candidates, each read from
+/// the prefix arrays by index.
+fn best_cut(prefix: &ChunkPrefix, a: &Cut, b: &Cut, extra: &[Cut]) -> Option<(Cut, f64)> {
+    let candidates = (a.above..b.at_or_above).map(|i| prefix.bound_cut(i)).chain(
+        extra
+            .iter()
+            .copied()
+            .filter(|p| p.pos > a.pos && p.pos < b.pos),
+    );
+    let mut best: Option<(Cut, f64)> = None;
     for p in candidates {
-        let e = prefix.error(a, p) + prefix.error(p, b);
+        let e = a.error_to(&p) + p.error_to(b);
         if best.is_none_or(|(_, be)| e < be) {
             best = Some((p, e));
         }
@@ -347,33 +333,37 @@ fn best_cut(prefix: &ChunkPrefix, a: u64, b: u64, extra: &[u64]) -> Option<(u64,
 mod tests {
     use super::*;
     use crate::fragment::optimal_fragmentation;
+    use crate::value::Chunk;
 
     fn chunk(start: u64, end: u64, value: f64) -> Chunk {
         Chunk { start, end, value }
     }
 
+    fn prefix(chunks: &[Chunk]) -> ChunkPrefix {
+        ChunkPrefix::new(chunks).unwrap()
+    }
+
     #[test]
     fn splits_at_value_change() {
-        let chunks = vec![chunk(0, 50, 1.0), chunk(50, 100, 5.0)];
+        let prefix = prefix(&[chunk(0, 50, 1.0), chunk(50, 100, 5.0)]);
         let mut g = GreedyFragmenter::new(100, 4);
-        assert_eq!(g.step(&chunks), StepOutcome::Changed);
+        assert_eq!(g.step(&prefix), StepOutcome::Changed);
         assert_eq!(g.fragmentation().boundaries(), &[0, 50, 100]);
         // Error is now zero: further steps are stable.
-        assert_eq!(g.step(&chunks), StepOutcome::Stable);
+        assert_eq!(g.step(&prefix), StepOutcome::Stable);
     }
 
     #[test]
     fn converges_to_optimal_on_staircase() {
-        let chunks = vec![
+        let prefix = prefix(&[
             chunk(0, 10, 1.0),
             chunk(10, 20, 4.0),
             chunk(20, 30, 9.0),
             chunk(30, 40, 2.0),
-        ];
+        ]);
         let mut g = GreedyFragmenter::new(40, 4);
-        g.run(&chunks, 16);
-        let prefix = ChunkPrefix::new(&chunks).unwrap();
-        assert!(g.fragmentation().total_error(&prefix) < 1e-9);
+        g.run(&prefix, 16);
+        assert!(g.fragmentation().total_error(&prefix).unwrap() < 1e-9);
         assert_eq!(g.len(), 4);
     }
 
@@ -383,7 +373,7 @@ mod tests {
             .map(|i| chunk(i * 5, (i + 1) * 5, (i % 7) as f64))
             .collect();
         let mut g = GreedyFragmenter::new(100, 6);
-        g.run(&chunks, 64);
+        g.run(&prefix(&chunks), 64);
         assert!(g.len() <= 6);
         let f = g.fragmentation();
         assert_eq!(f.table_len(), 100);
@@ -394,11 +384,11 @@ mod tests {
         let chunks: Vec<Chunk> = (0..16)
             .map(|i| chunk(i * 4, (i + 1) * 4, ((i * 13) % 11) as f64))
             .collect();
-        let prefix = ChunkPrefix::new(&chunks).unwrap();
+        let prefix = prefix(&chunks);
         let mut g = GreedyFragmenter::new(64, 16);
-        let mut prev = g.fragmentation().total_error(&prefix);
-        while g.step(&chunks) == StepOutcome::Changed {
-            let cur = g.fragmentation().total_error(&prefix);
+        let mut prev = g.fragmentation().total_error(&prefix).unwrap();
+        while g.step(&prefix) == StepOutcome::Changed {
+            let cur = g.fragmentation().total_error(&prefix).unwrap();
             assert!(cur < prev + 1e-9, "split increased error: {prev} -> {cur}");
             prev = cur;
         }
@@ -409,7 +399,7 @@ mod tests {
     #[test]
     fn merge_enables_adaptation_after_shift() {
         // Old workload: hot region 0..50.
-        let old = vec![chunk(0, 50, 5.0), chunk(50, 100, 0.0)];
+        let old = prefix(&[chunk(0, 50, 5.0), chunk(50, 100, 0.0)]);
         let mut g = GreedyFragmenter::new(100, 3);
         g.run(&old, 8);
         assert_eq!(g.fragmentation().boundaries(), &[0, 50, 100]);
@@ -417,11 +407,10 @@ mod tests {
         // Shifted workload: hot region 30..80. Reaching the zero-error
         // boundaries {0,30,80,100} with a cap of 3 requires merging a triple
         // back into two so the freed split can land at the new edge.
-        let new = vec![chunk(0, 30, 0.0), chunk(30, 80, 5.0), chunk(80, 100, 0.0)];
-        let prefix = ChunkPrefix::new(&new).unwrap();
-        let before = g.fragmentation().total_error(&prefix);
+        let new = prefix(&[chunk(0, 30, 0.0), chunk(30, 80, 5.0), chunk(80, 100, 0.0)]);
+        let before = g.fragmentation().total_error(&new).unwrap();
         g.run(&new, 16);
-        let after = g.fragmentation().total_error(&prefix);
+        let after = g.fragmentation().total_error(&new).unwrap();
         assert!(
             after < before,
             "adaptation failed: error {before} -> {after}"
@@ -444,13 +433,14 @@ mod tests {
                 pos += len;
             }
             let k = rng.gen_range(2..=m.min(8));
-            let prefix = ChunkPrefix::new(&chunks).unwrap();
+            let prefix = prefix(&chunks);
             let opt = optimal_fragmentation(&chunks, k)
                 .unwrap()
-                .total_error(&prefix);
+                .total_error(&prefix)
+                .unwrap();
             let mut g = GreedyFragmenter::new(pos, k);
-            g.run(&chunks, 200);
-            let greedy = g.fragmentation().total_error(&prefix);
+            g.run(&prefix, 200);
+            let greedy = g.fragmentation().total_error(&prefix).unwrap();
             assert!(
                 greedy + 1e-9 >= opt,
                 "greedy beat optimal?! {greedy} < {opt}"
@@ -466,17 +456,16 @@ mod tests {
 
     #[test]
     fn stable_on_uniform_values() {
-        let chunks = vec![chunk(0, 100, 2.0)];
         let mut g = GreedyFragmenter::new(100, 8);
-        assert_eq!(g.step(&chunks), StepOutcome::Stable);
+        assert_eq!(g.step(&prefix(&[chunk(0, 100, 2.0)])), StepOutcome::Stable);
         assert_eq!(g.len(), 1);
     }
 
     #[test]
     fn cap_of_one_is_inert() {
-        let chunks = vec![chunk(0, 50, 1.0), chunk(50, 100, 9.0)];
         let mut g = GreedyFragmenter::new(100, 1);
-        assert_eq!(g.step(&chunks), StepOutcome::Stable);
+        let prefix = prefix(&[chunk(0, 50, 1.0), chunk(50, 100, 9.0)]);
+        assert_eq!(g.step(&prefix), StepOutcome::Stable);
         assert_eq!(g.len(), 1);
     }
 
@@ -484,16 +473,15 @@ mod tests {
     /// variant cannot relocate its boundaries as well as three-into-two.
     #[test]
     fn pairwise_merge_adapts_worse_than_triple() {
-        let old = vec![chunk(0, 50, 5.0), chunk(50, 100, 0.0)];
-        let new = vec![chunk(0, 30, 0.0), chunk(30, 80, 5.0), chunk(80, 100, 0.0)];
-        let prefix = ChunkPrefix::new(&new).unwrap();
+        let old = prefix(&[chunk(0, 50, 5.0), chunk(50, 100, 0.0)]);
+        let new = prefix(&[chunk(0, 30, 0.0), chunk(30, 80, 5.0), chunk(80, 100, 0.0)]);
         let run_with = |policy: MergePolicy| {
             let mut g = GreedyFragmenter::new(100, 3).with_merge_policy(policy);
             g.run(&old, 8);
             // Only a couple of adaptation rounds: the drifted regime where
             // merge choice matters (both converge eventually).
             g.step(&new);
-            g.fragmentation().total_error(&prefix)
+            g.fragmentation().total_error(&new).unwrap()
         };
         let triple = run_with(MergePolicy::TripleToPair);
         let pair = run_with(MergePolicy::PairToOne);

@@ -19,14 +19,16 @@ mod findsplit;
 mod greedy;
 mod optimal;
 mod prefix;
+#[cfg(test)]
+mod reference;
 
 pub use findsplit::{find_split, SplitPoint};
 pub use greedy::{GreedyFragmenter, MergePolicy, StepOutcome, DEFAULT_MIN_SPLIT_GAIN};
 pub use optimal::optimal_fragmentation;
 pub use prefix::ChunkPrefix;
+use prefix::Cut;
 
 use crate::ids::FragmentId;
-use crate::value::Chunk;
 
 /// Contract violations of the fragmentation layer, surfaced as typed errors
 /// instead of panics (the same convention as `RouteError` and
@@ -91,6 +93,16 @@ pub enum FragmentError {
     },
     /// The requested fragment budget is zero.
     ZeroMaxFrags,
+    /// The requested maximum fragment size is zero.
+    ZeroMaxSize,
+    /// A fragmentation and a value function cover tables of different
+    /// lengths.
+    TableMismatch {
+        /// Tuples covered by the fragmentation.
+        fragmentation: u64,
+        /// Tuples covered by the value function.
+        value_function: u64,
+    },
 }
 
 impl std::fmt::Display for FragmentError {
@@ -136,6 +148,14 @@ impl std::fmt::Display for FragmentError {
                 )
             }
             FragmentError::ZeroMaxFrags => write!(f, "need at least one fragment"),
+            FragmentError::ZeroMaxSize => write!(f, "max fragment size must be nonzero"),
+            FragmentError::TableMismatch {
+                fragmentation,
+                value_function,
+            } => write!(
+                f,
+                "fragmentation covers {fragmentation} tuples but the value function covers {value_function}"
+            ),
         }
     }
 }
@@ -311,13 +331,23 @@ impl Fragmentation {
 
     /// Summed fragment error (the paper's Eq. 5 objective) against a value
     /// function.
-    pub fn total_error(&self, prefix: &ChunkPrefix) -> f64 {
-        assert_eq!(
-            prefix.table_len(),
-            self.table_len(),
-            "value function covers a different table"
-        );
-        self.ranges().map(|r| prefix.error(r.start, r.end)).sum()
+    ///
+    /// # Errors
+    /// Returns [`FragmentError::TableMismatch`] if the value function
+    /// covers a different table.
+    pub fn total_error(&self, prefix: &ChunkPrefix) -> Result<f64, FragmentError> {
+        Ok(prefix::total_error(&self.cuts(prefix)?))
+    }
+
+    /// Every boundary resolved against `prefix`, once each.
+    fn cuts(&self, prefix: &ChunkPrefix) -> Result<Vec<Cut>, FragmentError> {
+        if prefix.table_len() != self.table_len() {
+            return Err(FragmentError::TableMismatch {
+                fragmentation: self.table_len(),
+                value_function: prefix.table_len(),
+            });
+        }
+        Ok(self.boundaries.iter().map(|&b| prefix.cut(b)).collect())
     }
 }
 
@@ -332,10 +362,15 @@ impl Fragmentation {
 /// refinement), so this post-pass preserves optimality properties while
 /// making BFFD packing feasible.
 ///
-/// # Panics
-/// Panics if `max_size` is zero.
-pub fn split_oversized(frag: &Fragmentation, max_size: u64) -> Fragmentation {
-    assert!(max_size > 0, "max fragment size must be nonzero");
+/// # Errors
+/// Returns [`FragmentError::ZeroMaxSize`] if `max_size` is zero.
+pub fn split_oversized(
+    frag: &Fragmentation,
+    max_size: u64,
+) -> Result<Fragmentation, FragmentError> {
+    if max_size == 0 {
+        return Err(FragmentError::ZeroMaxSize);
+    }
     let mut boundaries = Vec::with_capacity(frag.boundaries().len());
     boundaries.push(0);
     for r in frag.ranges() {
@@ -355,7 +390,7 @@ pub fn split_oversized(frag: &Fragmentation, max_size: u64) -> Fragmentation {
         }
         boundaries.push(r.end);
     }
-    Fragmentation::from_boundaries(boundaries)
+    Ok(Fragmentation::from_boundaries(boundaries))
 }
 
 /// Per-fragment statistics consumed by the replication manager.
@@ -371,22 +406,25 @@ pub struct FragmentStats {
     pub error: f64,
 }
 
-/// Computes [`FragmentStats`] for every fragment of a scheme.
+/// Computes [`FragmentStats`] for every fragment of a scheme against the
+/// value function's prefix statistics.
 ///
 /// # Errors
-/// Returns a chunk-validation [`FragmentError`] if `chunks` is malformed.
+/// Returns [`FragmentError::TableMismatch`] if the value function covers a
+/// different table.
 pub fn fragment_stats(
     frag: &Fragmentation,
-    chunks: &[Chunk],
+    prefix: &ChunkPrefix,
 ) -> Result<Vec<FragmentStats>, FragmentError> {
-    let prefix = ChunkPrefix::new(chunks)?;
+    let cuts = frag.cuts(prefix)?;
     Ok(frag
         .fragments()
-        .map(|(id, range)| FragmentStats {
+        .zip(cuts.windows(2))
+        .map(|((id, range), w)| FragmentStats {
             id,
             range,
-            value: prefix.sum(range.start, range.end),
-            error: prefix.error(range.start, range.end),
+            value: w[0].sum_to(&w[1]),
+            error: w[0].error_to(&w[1]),
         })
         .collect())
 }
@@ -394,6 +432,7 @@ pub fn fragment_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Chunk;
 
     #[test]
     fn ranges_and_ids() {
@@ -469,7 +508,7 @@ mod tests {
     #[test]
     fn split_oversized_caps_every_fragment() {
         let f = Fragmentation::from_boundaries(vec![0, 10, 1_000, 1_005]);
-        let capped = split_oversized(&f, 300);
+        let capped = split_oversized(&f, 300).unwrap();
         assert!(capped.ranges().all(|r| r.size() <= 300));
         assert_eq!(capped.table_len(), 1_005);
         // Original boundaries survive.
@@ -481,13 +520,14 @@ mod tests {
     #[test]
     fn split_oversized_noop_when_small() {
         let f = Fragmentation::from_boundaries(vec![0, 10, 20]);
-        assert_eq!(split_oversized(&f, 100), f);
+        assert_eq!(split_oversized(&f, 100), Ok(f.clone()));
+        assert_eq!(split_oversized(&f, 0), Err(FragmentError::ZeroMaxSize));
     }
 
     #[test]
     fn split_oversized_exact_multiple() {
         let f = Fragmentation::from_boundaries(vec![0, 900]);
-        let capped = split_oversized(&f, 300);
+        let capped = split_oversized(&f, 300).unwrap();
         assert_eq!(capped.boundaries(), &[0, 300, 600, 900]);
     }
 
@@ -506,11 +546,19 @@ mod tests {
             },
         ];
         let f = Fragmentation::from_boundaries(vec![0, 5, 30]);
-        let stats = fragment_stats(&f, &chunks).unwrap();
+        let prefix = ChunkPrefix::new(&chunks).unwrap();
+        let stats = fragment_stats(&f, &prefix).unwrap();
         let total: f64 = stats.iter().map(|s| s.value).sum();
         assert!((total - 40.0).abs() < 1e-9);
         // First fragment is entirely inside the constant chunk: zero error.
         assert!(stats[0].error < 1e-12);
         assert!(stats[1].error > 0.0);
+        let other_table = Fragmentation::from_boundaries(vec![0, 5, 31]);
+        let mismatch = FragmentError::TableMismatch {
+            fragmentation: 31,
+            value_function: 30,
+        };
+        assert_eq!(fragment_stats(&other_table, &prefix), Err(mismatch));
+        assert_eq!(other_table.total_error(&prefix), Err(mismatch));
     }
 }

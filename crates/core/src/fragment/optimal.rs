@@ -2,11 +2,12 @@
 //!
 //! The classic optimal-k-segments scheme ([Mahlknecht et al.], [Jagadish et
 //! al.]): `dp[j][i]` is the minimum summed error of cutting the first `i`
-//! chunks into `j` fragments, with the error of a candidate fragment
-//! computable in O(1) from prefix sums. The paper notes the optimal cut
-//! points can only fall where `V(x)` changes, so we run the DP over the `m`
-//! value chunks rather than the `n` tuples — `O(maxFrags · m²)` time and
-//! `O(maxFrags · m)` space, with `m ≤ 2|W| + 1`.
+//! chunks into `j` fragments. The paper notes the optimal cut points can
+//! only fall where `V(x)` changes, so we run the DP over the `m` value
+//! chunks rather than the `n` tuples — `O(maxFrags · m²)` time and
+//! `O(maxFrags · m)` space, with `m ≤ 2|W| + 1`. Every candidate fragment
+//! spans whole chunks, so its error is read from the prefix sums by chunk
+//! index in O(1), with no search.
 
 use super::prefix::ChunkPrefix;
 use super::{FragmentError, Fragmentation};
@@ -23,7 +24,6 @@ use crate::value::Chunk;
 /// # Errors
 /// Returns [`FragmentError::ZeroMaxFrags`] if `max_frags` is zero and a
 /// chunk-validation error if `chunks` is empty/malformed.
-#[allow(clippy::needless_range_loop)] // index arithmetic *is* the DP
 pub fn optimal_fragmentation(
     chunks: &[Chunk],
     max_frags: usize,
@@ -35,18 +35,29 @@ pub fn optimal_fragmentation(
     crate::obs_hooks::counter_add("fragment.optimal_runs", 1);
     crate::obs_hooks::record("fragment.optimal_chunks", chunks.len() as u64);
     let prefix = ChunkPrefix::new(chunks)?;
-    let bounds = prefix.bounds();
     let m = prefix.num_chunks();
-    let k = max_frags.min(m);
+    // Error of the fragment spanning chunks [a, b), by chunk index.
+    let err = |a: usize, b: usize| prefix.bound_cut(a).error_to(&prefix.bound_cut(b));
+    let boundaries = optimal_cuts(m, max_frags.min(m), err)
+        .into_iter()
+        .map(|c| prefix.bounds()[c])
+        .collect();
+    watch.record("fragment.optimal_ns");
+    Ok(Fragmentation::from_boundaries(boundaries))
+}
 
+/// The DP proper: the chunk indices (`0` and `m` included) of a minimum
+/// total error cut of `m` chunks into `k ≤ m` fragments, where `err(a, b)`
+/// is the error of the fragment spanning chunks `[a, b)`.
+#[allow(clippy::needless_range_loop)] // index arithmetic *is* the DP
+pub(super) fn optimal_cuts<E>(m: usize, k: usize, err: E) -> Vec<usize>
+where
+    E: Fn(usize, usize) -> f64 + Sync,
+{
     if k == m {
         // One fragment per chunk: zero error, no DP needed.
-        watch.record("fragment.optimal_ns");
-        return Ok(Fragmentation::from_boundaries(bounds.to_vec()));
+        return (0..=m).collect();
     }
-
-    // err(a_chunk, b_chunk): error of the fragment spanning chunks [a, b).
-    let err = |a: usize, b: usize| prefix.error(bounds[a], bounds[b]);
 
     // dp[i]: min error covering chunks [0, i) with the current layer's
     // fragment count; choice[j][i]: the best last cut for that state.
@@ -98,9 +109,7 @@ pub fn optimal_fragmentation(
     }
     cuts.push(0);
     cuts.reverse();
-    let boundaries: Vec<u64> = cuts.into_iter().map(|c| bounds[c]).collect();
-    watch.record("fragment.optimal_ns");
-    Ok(Fragmentation::from_boundaries(boundaries))
+    cuts
 }
 
 #[cfg(test)]
@@ -159,7 +168,7 @@ mod tests {
         let f = optimal_fragmentation(&chunks, 2).unwrap();
         assert_eq!(f.boundaries(), &[0, 50, 100]);
         let prefix = ChunkPrefix::new(&chunks).unwrap();
-        assert!(f.total_error(&prefix) < 1e-9);
+        assert!(f.total_error(&prefix).unwrap() < 1e-9);
     }
 
     #[test]
@@ -177,7 +186,7 @@ mod tests {
         // With k = m, error is zero.
         let prefix = ChunkPrefix::new(&chunks).unwrap();
         let f = optimal_fragmentation(&chunks, 4).unwrap();
-        assert!(f.total_error(&prefix) < 1e-12);
+        assert!(f.total_error(&prefix).unwrap() < 1e-12);
         // k = 0 is a contract violation, surfaced as a typed error.
         assert_eq!(
             optimal_fragmentation(&chunks, 0).unwrap_err(),
@@ -201,7 +210,7 @@ mod tests {
             let k = rng.gen_range(1..=m);
             let f = optimal_fragmentation(&chunks, k).unwrap();
             let prefix = ChunkPrefix::new(&chunks).unwrap();
-            let dp_err = f.total_error(&prefix);
+            let dp_err = f.total_error(&prefix).unwrap();
             let bf_err = brute_force_error(&chunks, k.min(m));
             assert!(
                 (dp_err - bf_err).abs() < 1e-6 * (1.0 + bf_err),
@@ -232,7 +241,8 @@ mod tests {
         for k in 1..=5 {
             let e = optimal_fragmentation(&chunks, k)
                 .unwrap()
-                .total_error(&prefix);
+                .total_error(&prefix)
+                .unwrap();
             assert!(e <= prev + 1e-9, "error rose from {prev} to {e} at k={k}");
             prev = e;
         }

@@ -1,10 +1,18 @@
 //! Prefix statistics over value chunks (paper §5.2).
 //!
-//! The fragment error (unnormalized variance, Eq. 4) of any tuple range can
-//! be computed in `O(log m)` from prefix sums of `V(x)` and `V(x)²` over the
-//! `m` chunks of the piecewise-constant value function — the constant-time
-//! array lookup of the paper, plus a binary search because our "array" is
-//! compressed into runs.
+//! The fragment error (unnormalized variance, Eq. 4) of a tuple range comes
+//! from prefix sums of `V(x)` and `V(x)²` over the `m` chunks of the
+//! piecewise-constant value function. Between chunk bounds it is the
+//! paper's constant-time array lookup: `O(1)`, by index. At an arbitrary
+//! tuple position the array is compressed into runs, so the position is
+//! first resolved to its chunk by binary search: `O(log m)`.
+//!
+//! Both paths meet in one place. A position resolves to a [`Cut`] — the
+//! cumulative sums before it — and [`Cut::error_to`] is the single Eq. 6
+//! expression over two cuts. [`ChunkPrefix::error`] resolves both ends by
+//! search and applies it; the fragmenters resolve each position once and
+//! read chunk bounds by index, so the two agree bit for bit by
+//! construction.
 
 use super::FragmentError;
 use crate::value::Chunk;
@@ -109,18 +117,18 @@ impl ChunkPrefix {
 
     /// Σ V(x) over tuple range `[a, b)`.
     pub fn sum(&self, a: u64, b: u64) -> f64 {
-        self.cum(&self.s, b, 1) - self.cum(&self.s, a, 1)
+        self.cut(b).s - self.cut(a).s
     }
 
     /// Σ V(x)² over tuple range `[a, b)`.
     pub fn sum_sq(&self, a: u64, b: u64) -> f64 {
-        self.cum(&self.s2, b, 2) - self.cum(&self.s2, a, 2)
+        self.cut(b).s2 - self.cut(a).s2
     }
 
     /// Fragment error (paper Eq. 4 via Eq. 6, with the `1/Size` that the
     /// paper's printed Eq. 6 drops — see DESIGN.md): the unnormalized
     /// variance of `V(x)` over `[a, b)`. Clamped at zero against float
-    /// residue.
+    /// residue. `O(log m)`: both ends are resolved by binary search.
     ///
     /// Out-of-contract ranges (empty, or extending beyond the table) are
     /// clamped and contribute zero error; debug builds assert on them so
@@ -133,9 +141,7 @@ impl ChunkPrefix {
         if a >= b {
             return 0.0;
         }
-        let sum = self.sum(a, b);
-        let sum_sq = self.sum_sq(a, b);
-        (sum_sq - sum * sum / (b - a) as f64).max(0.0)
+        self.cut(a).error_to(&self.cut(b))
     }
 
     /// Checked variant of [`ChunkPrefix::error`].
@@ -157,20 +163,85 @@ impl ChunkPrefix {
         Ok(self.error(a, b))
     }
 
-    /// Cumulative Σ V^`power` for tuples before index `x` (which may be
-    /// `table_len`), handling a partial final chunk.
-    fn cum(&self, prefix: &[f64], x: u64, power: u32) -> f64 {
-        if x == 0 {
-            return 0.0;
+    /// Resolves tuple position `x` (which may be `table_len`; anything
+    /// beyond resolves as `table_len`'s sums) by binary search, handling a
+    /// position inside a chunk by adding the chunk's partial run.
+    pub(crate) fn cut(&self, x: u64) -> Cut {
+        let at_or_above = self.bounds.partition_point(|&b| b < x);
+        if self.bounds.get(at_or_above) == Some(&x) {
+            return self.bound_cut(at_or_above);
         }
-        if x >= self.table_len() {
-            return prefix.last().map_or(0.0, |&total| total);
+        let m = self.num_chunks();
+        if at_or_above > m {
+            return Cut {
+                pos: x,
+                above: at_or_above,
+                at_or_above,
+                ..self.bound_cut(m)
+            };
         }
-        // In range by the guard above, so chunk_of cannot fail.
-        let idx = self.bounds.partition_point(|&b| b <= x).saturating_sub(1);
+        // bounds[0] = 0 <= x, so x strictly inside chunk at_or_above - 1.
+        let idx = at_or_above - 1;
         let v = self.values[idx];
-        let partial = (x - self.bounds[idx]) as f64 * v.powi(power as i32);
-        prefix[idx] + partial
+        let run = (x - self.bounds[idx]) as f64;
+        Cut {
+            pos: x,
+            above: at_or_above,
+            at_or_above,
+            s: self.s[idx] + run * v,
+            s2: self.s2[idx] + run * (v * v),
+        }
+    }
+
+    /// The cut at chunk bound `i` (`0..=num_chunks`), by index: `O(1)`.
+    pub(crate) fn bound_cut(&self, i: usize) -> Cut {
+        Cut {
+            pos: self.bounds[i],
+            above: i + 1,
+            at_or_above: i,
+            s: self.s[i],
+            s2: self.s2[i],
+        }
+    }
+}
+
+/// Summed error of the fragments between consecutive resolved boundaries.
+pub(crate) fn total_error(cuts: &[Cut]) -> f64 {
+    cuts.windows(2).map(|w| w[0].error_to(&w[1])).sum()
+}
+
+/// A tuple position resolved against a [`ChunkPrefix`]: the cumulative
+/// sums before it, plus where it falls among the chunk bounds, so that
+/// errors between resolved positions and the chunk bounds strictly between
+/// them need no further search.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cut {
+    /// The tuple position.
+    pub(crate) pos: u64,
+    /// Index of the first chunk bound `> pos`.
+    pub(crate) above: usize,
+    /// Index of the first chunk bound `>= pos`.
+    pub(crate) at_or_above: usize,
+    /// Σ V(x) for tuples before `pos`.
+    s: f64,
+    /// Σ V(x)² for tuples before `pos`.
+    s2: f64,
+}
+
+impl Cut {
+    /// Eq. 6 — the one expression every fragment error comes from: the
+    /// unnormalized variance of `V(x)` over `[self.pos, end.pos)`, clamped
+    /// at zero against float residue. Requires `self.pos < end.pos`.
+    pub(crate) fn error_to(&self, end: &Cut) -> f64 {
+        debug_assert!(self.pos < end.pos, "empty fragment {self:?}..{end:?}");
+        let sum = end.s - self.s;
+        let sum_sq = end.s2 - self.s2;
+        (sum_sq - sum * sum / end.pos.saturating_sub(self.pos) as f64).max(0.0)
+    }
+
+    /// Σ V(x) over `[self.pos, end.pos)`.
+    pub(crate) fn sum_to(&self, end: &Cut) -> f64 {
+        end.s - self.s
     }
 }
 

@@ -198,7 +198,7 @@ mod audit_props {
         k: usize,
     ) -> Result<ClusterScheme, nashdb_core::replication::PackError> {
         let frag = optimal_fragmentation(chunks, k).unwrap();
-        let stats = fragment_stats(&frag, chunks).unwrap();
+        let stats = fragment_stats(&frag, &ChunkPrefix::new(chunks).unwrap()).unwrap();
         let policy = ReplicationPolicy::new(50, NodeSpec::new(1_000.0, frag.table_len()));
         ClusterScheme::build(&stats, policy)
     }

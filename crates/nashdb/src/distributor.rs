@@ -6,8 +6,8 @@ use std::collections::HashMap;
 use nashdb_cluster::QueryRequest;
 use nashdb_core::economics::NodeSpec;
 use nashdb_core::fragment::{
-    fragment_stats, optimal_fragmentation, split_oversized, FragmentRange, FragmentStats,
-    Fragmentation, GreedyFragmenter,
+    fragment_stats, optimal_fragmentation, split_oversized, ChunkPrefix, FragmentRange,
+    FragmentStats, Fragmentation, GreedyFragmenter,
 };
 use nashdb_core::ids::{FragmentId, TableId};
 use nashdb_core::num::{saturating_u64, usize_from};
@@ -68,8 +68,8 @@ struct TableState {
 /// One table's slice of the fragmentation stage: value chunks -> greedy (or
 /// exact DP) fragmentation -> disk-fit split -> per-fragment statistics.
 /// Stats come back with table-local ids; the caller re-identifies them
-/// globally. Runs on a fan-out worker thread, so it takes everything it
-/// needs by argument and touches no distributor state beyond its table.
+/// globally. The chunks' prefix statistics are built once and serve both
+/// the greedy fragmenter and the statistics.
 fn table_fragments(
     cfg: &NashDbConfig,
     converged: bool,
@@ -80,20 +80,25 @@ fn table_fragments(
         let _chunks = nashdb_obs::span("value_chunks");
         t.estimator.chunks(t.tuples)
     };
+    // The estimator always emits contiguous chunks over a nonempty table,
+    // so the fallbacks below only guard a broken estimator (or config);
+    // debug builds surface it.
+    let prefix = ChunkPrefix::new(&chunks);
+    debug_assert!(prefix.is_ok(), "table {t_idx}: {:?}", prefix.as_ref().err());
+    let Ok(prefix) = prefix else {
+        return Vec::new();
+    };
     let rounds = if converged {
         cfg.greedy_rounds
     } else {
         cfg.greedy_rounds.max(24 * cfg.max_frags_per_table)
     };
     let frag = if cfg.use_optimal_fragmentation {
-        // The estimator always emits contiguous chunks over a nonempty
-        // table, so the fallback only guards a broken estimator; debug
-        // builds surface it.
         let frag = optimal_fragmentation(&chunks, cfg.max_frags_per_table);
         debug_assert!(frag.is_ok(), "table {t_idx}: {:?}", frag.as_ref().err());
         frag.unwrap_or_else(|_| Fragmentation::single(t.tuples.max(1)))
     } else {
-        t.fragmenter.run(&chunks, rounds);
+        t.fragmenter.run(&prefix, rounds);
         t.fragmenter.fragmentation()
     };
     #[cfg(feature = "invariant-audit")]
@@ -112,8 +117,9 @@ fn table_fragments(
     }
     #[cfg(not(feature = "invariant-audit"))]
     let _ = t_idx;
-    let frag = split_oversized(&frag, cfg.spec.disk.min(cfg.max_fragment_tuples.max(1)));
-    let stats = fragment_stats(&frag, &chunks);
+    let split = split_oversized(&frag, cfg.spec.disk.min(cfg.max_fragment_tuples.max(1)));
+    debug_assert!(split.is_ok(), "table {t_idx}: {:?}", split.as_ref().err());
+    let stats = fragment_stats(&split.unwrap_or(frag), &prefix);
     debug_assert!(stats.is_ok(), "table {t_idx}: {:?}", stats.as_ref().err());
     stats.unwrap_or_default()
 }
@@ -376,9 +382,9 @@ impl NashDbDistributor {
             .iter()
             .map(|t| {
                 let chunks = t.estimator.chunks(t.tuples);
-                nashdb_core::fragment::ChunkPrefix::new(&chunks).map_or(0.0, |prefix| {
-                    t.fragmenter.fragmentation().total_error(&prefix)
-                })
+                ChunkPrefix::new(&chunks)
+                    .and_then(|prefix| t.fragmenter.fragmentation().total_error(&prefix))
+                    .unwrap_or(0.0)
             })
             .sum()
     }
@@ -420,27 +426,16 @@ impl Distributor for NashDbDistributor {
         let policy = ReplicationPolicy::new(self.cfg.window, self.cfg.spec)
             .with_max_replicas(self.cfg.max_replicas);
 
-        // Per table: value chunks -> fragmentation -> disk-fit split ->
-        // fragment statistics, re-identified globally. Tables are
-        // independent (separate estimators and fragmenters), so the stage
-        // fans out across cores; worker metrics are captured per table via
-        // `nashdb_obs::fork` and absorbed in table order below, which is
-        // exactly the order the serial loop recorded them in — same-seed
-        // runs stay byte-identical under `scrub_timings` at any core count.
+        // Per table, in table order: value chunks -> fragmentation ->
+        // disk-fit split -> fragment statistics, re-identified globally.
+        // The loop is serial on purpose: with the index-direct error
+        // kernel a table's work is tens of microseconds, no more than
+        // spawning and joining a scoped thread costs.
         let fragment_span = nashdb_obs::span("fragment");
-        let cfg = self.cfg;
-        let converged = self.converged;
-        let fork = nashdb_obs::fork();
-        let per_table = nashdb_par::map_mut(&mut self.tables, 1, |t_idx, t| {
-            fork.run(|| table_fragments(&cfg, converged, t_idx, t))
-        });
         let mut globals: Vec<GlobalFragment> = Vec::new();
         let mut stats: Vec<FragmentStats> = Vec::new();
-        for (t_idx, (table_stats, metrics)) in per_table.into_iter().enumerate() {
-            if let Some(m) = metrics {
-                nashdb_obs::absorb(&m);
-            }
-            for s in table_stats {
+        for (t_idx, t) in self.tables.iter_mut().enumerate() {
+            for s in table_fragments(&self.cfg, self.converged, t_idx, t) {
                 let global_id = FragmentId(globals.len() as u64);
                 globals.push(GlobalFragment {
                     table: nashdb_core::ids::TableId(t_idx as u64),

@@ -114,8 +114,7 @@ impl MetricsRegistry {
     /// add, histograms merge element-wise, gauges take `other`'s value
     /// (last-write-wins, as if `other`'s sets happened after this
     /// registry's). Equivalent to having recorded both streams into one
-    /// registry — the primitive behind deterministic fan-out collection,
-    /// where worker-thread registries are absorbed in worker order.
+    /// registry.
     pub fn merge_from(&mut self, other: &MetricsRegistry) {
         for (name, &v) in &other.counters {
             self.counter_add(name, v);

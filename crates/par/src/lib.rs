@@ -25,12 +25,10 @@
 //! differ by at most one, at most one chunk per core. The caller runs
 //! chunk 0 itself and one scoped thread runs each other chunk. Scoped
 //! threads may borrow from the caller's stack, so callers hand in shared
-//! inputs by reference and per-item state machines as `&mut [T]`
-//! ([`map_mut`]); nothing needs to be `'static`. Fan-out is only used a
-//! handful of times per reconfiguration period (one per table, one per
-//! wide DP layer), so a thread spawn per chunk is cheap next to the work it
-//! carries. Nested calls fan out on their own scoped threads and cannot
-//! deadlock.
+//! inputs by reference; nothing needs to be `'static`. The pipeline fans
+//! out only a wide DP layer (at least 256 cells per chunk), so a thread
+//! spawn per chunk is cheap next to the work it carries. Nested calls fan
+//! out on their own scoped threads and cannot deadlock.
 //!
 //! [`pool_stats`] counts parallel calls and the chunks they ran, for
 //! benchmarks that attribute host time to fan-out.
@@ -168,51 +166,6 @@ where
     run_chunks(chunks)
 }
 
-/// Like [`map_vec`] but for per-item state machines (one fragmenter per
-/// table, say) that each thread advances in place: `f` gets `&mut T` and
-/// the results come back in item order.
-pub fn map_mut<T, R, F>(items: &mut [T], min_chunk: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let workers = worker_count(items.len(), min_chunk);
-    if workers <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let f = &f;
-    let bounds = chunk_bounds(items.len(), workers);
-    let mut rest = items;
-    let chunks = bounds
-        .into_iter()
-        .map(|(start, end)| {
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
-            rest = tail;
-            move || {
-                chunk
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(off, t)| f(start + off, t))
-                    .collect::<Vec<R>>()
-            }
-        })
-        .collect();
-    run_chunks(chunks)
-}
-
-/// [`map_mut`] over owned items: the mutated items come back alongside the
-/// results, both in item order.
-pub fn map_mut_vec<T, R, F>(mut items: Vec<T>, min_chunk: usize, f: F) -> (Vec<T>, Vec<R>)
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let out = map_mut(&mut items, min_chunk, f);
-    (items, out)
-}
-
 /// Builds a `Vec` of `len` values where element `i` is `f(i)` — the
 /// "parallelize this independent loop" primitive (a DP layer, a per-index
 /// table fill). Fan-out rules are as in [`map_vec`]; shared inputs are
@@ -252,30 +205,6 @@ mod tests {
     fn map_vec_passes_global_indices() {
         let idxs = map_vec(vec![(); 503], 1, |i, ()| i);
         assert_eq!(idxs, (0..503).collect::<Vec<usize>>());
-    }
-
-    #[test]
-    fn map_mut_vec_mutates_every_item_once_and_returns_them() {
-        let items: Vec<u64> = vec![0; 257];
-        let (items, out) = map_mut_vec(items, 1, |i, slot| {
-            *slot += 1;
-            i as u64
-        });
-        assert_eq!(items.len(), 257);
-        assert!(items.iter().all(|&x| x == 1));
-        assert_eq!(out, (0..257).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn map_mut_mutates_borrowed_items_in_place_exactly_once() {
-        let mut items: Vec<u64> = (0..257).collect();
-        let out = map_mut(&mut items, 1, |i, slot| {
-            *slot = *slot * 2 + 1;
-            i
-        });
-        let want: Vec<u64> = (0..257).map(|x| x * 2 + 1).collect();
-        assert_eq!(items, want, "an item was skipped or mutated twice");
-        assert_eq!(out, (0..257).collect::<Vec<usize>>());
     }
 
     #[test]

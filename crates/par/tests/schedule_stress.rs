@@ -9,11 +9,9 @@
 //! finish before early ones, plus a worst case where chunk 0 (run by the
 //! caller) is the straggler every merge must wait for.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use nashdb_par::{fill_with, map_mut_vec, map_vec};
+use nashdb_par::{fill_with, map_vec};
 
 const ITEMS: usize = 256;
 
@@ -74,29 +72,6 @@ fn merge_waits_for_a_single_straggler_first_worker() {
         x * 2
     });
     assert_eq!(got, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
-}
-
-#[test]
-fn map_mut_vec_touches_each_item_exactly_once_under_stress() {
-    let items: Vec<u64> = vec![0; ITEMS];
-    let visits = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&visits);
-    let (items, out) = map_mut_vec(items, 1, move |i, slot| {
-        sleep_us(lcg_delay_us(7, i));
-        counter.fetch_add(1, Ordering::Relaxed);
-        *slot += 1;
-        i
-    });
-    assert_eq!(visits.load(Ordering::Relaxed), ITEMS);
-    assert!(
-        items.iter().all(|&x| x == 1),
-        "an item was skipped or revisited"
-    );
-    assert_eq!(
-        out,
-        (0..ITEMS).collect::<Vec<_>>(),
-        "results out of item order"
-    );
 }
 
 #[test]

@@ -36,8 +36,10 @@ fn main() {
                 PricedScan::new(*hot_start, hot_start + 150_000, 1.0)
             };
             estimator.observe(scan);
-            let chunks = estimator.chunks(TABLE);
-            nash.run(&chunks, 4);
+            // Estimator chunks are contiguous by construction.
+            if let Ok(prefix) = ChunkPrefix::new(&estimator.chunks(TABLE)) {
+                nash.run(&prefix, 4);
+            }
         }
         let chunks = estimator.chunks(TABLE);
         let Ok(prefix) = ChunkPrefix::new(&chunks) else {
@@ -53,10 +55,10 @@ fn main() {
         println!(
             "  fragments: {}   total error: {:.3e}",
             frag.len(),
-            frag.total_error(&prefix)
+            frag.total_error(&prefix).unwrap_or(0.0)
         );
         // Which fragments are worth replicating? Show the value density.
-        let stats = nashdb_core::fragment::fragment_stats(&frag, &chunks).unwrap_or_default();
+        let stats = nashdb_core::fragment::fragment_stats(&frag, &prefix).unwrap_or_default();
         for s in &stats {
             let density = s.value / s.range.size() as f64;
             if density > 1e-9 {

@@ -3,7 +3,9 @@
 //! equilibria (Definition 6.1), verified by the independent checker.
 
 use nashdb_core::economics::{check_equilibrium, NodeSpec};
-use nashdb_core::fragment::{fragment_stats, optimal_fragmentation, GreedyFragmenter};
+use nashdb_core::fragment::{
+    fragment_stats, optimal_fragmentation, split_oversized, ChunkPrefix, GreedyFragmenter,
+};
 use nashdb_core::replication::{ClusterScheme, ReplicationPolicy};
 use nashdb_core::value::{PricedScan, TupleValueEstimator};
 use nashdb_sim::SimRng;
@@ -35,10 +37,11 @@ fn greedy_pipeline_schemes_are_equilibria() {
     for seed in [1u64, 7, 42, 1337] {
         let est = estimator_after(200, seed);
         let chunks = est.chunks(TABLE);
+        let prefix = ChunkPrefix::new(&chunks).unwrap();
         let mut frag = GreedyFragmenter::new(TABLE, 16);
-        frag.run(&chunks, 64);
-        let frag = nashdb_core::fragment::split_oversized(&frag.fragmentation(), spec().disk);
-        let stats = fragment_stats(&frag, &chunks).unwrap();
+        frag.run(&prefix, 64);
+        let frag = split_oversized(&frag.fragmentation(), spec().disk).unwrap();
+        let stats = fragment_stats(&frag, &prefix).unwrap();
         let scheme = ClusterScheme::build(&stats, ReplicationPolicy::new(WINDOW, spec())).unwrap();
         assert_eq!(
             check_equilibrium(&scheme.economic_config()),
@@ -52,9 +55,10 @@ fn greedy_pipeline_schemes_are_equilibria() {
 fn optimal_pipeline_schemes_are_equilibria() {
     let est = estimator_after(120, 5);
     let chunks = est.chunks(TABLE);
+    let prefix = ChunkPrefix::new(&chunks).unwrap();
     let frag = optimal_fragmentation(&chunks, 12).unwrap();
-    let frag = nashdb_core::fragment::split_oversized(&frag, spec().disk);
-    let stats = fragment_stats(&frag, &chunks).unwrap();
+    let frag = split_oversized(&frag, spec().disk).unwrap();
+    let stats = fragment_stats(&frag, &prefix).unwrap();
     let scheme = ClusterScheme::build(&stats, ReplicationPolicy::new(WINDOW, spec())).unwrap();
     assert_eq!(check_equilibrium(&scheme.economic_config()), Ok(()));
 }
@@ -73,9 +77,10 @@ fn equilibrium_holds_across_window_evolution() {
             est.observe(PricedScan::new(a, (a + len).min(TABLE), 1.0));
         }
         let chunks = est.chunks(TABLE);
-        fragmenter.run(&chunks, 8);
-        let frag = nashdb_core::fragment::split_oversized(&fragmenter.fragmentation(), spec().disk);
-        let stats = fragment_stats(&frag, &chunks).unwrap();
+        let prefix = ChunkPrefix::new(&chunks).unwrap();
+        fragmenter.run(&prefix, 8);
+        let frag = split_oversized(&fragmenter.fragmentation(), spec().disk).unwrap();
+        let stats = fragment_stats(&frag, &prefix).unwrap();
         let scheme = ClusterScheme::build(&stats, ReplicationPolicy::new(WINDOW, spec())).unwrap();
         assert_eq!(
             check_equilibrium(&scheme.economic_config()),
@@ -96,9 +101,10 @@ fn replica_cap_can_break_equilibrium_but_only_toward_entry() {
         est.observe(PricedScan::new(0, 10_000, 100.0));
     }
     let chunks = est.chunks(TABLE);
+    let prefix = ChunkPrefix::new(&chunks).unwrap();
     let frag = optimal_fragmentation(&chunks, 4).unwrap();
-    let frag = nashdb_core::fragment::split_oversized(&frag, spec().disk);
-    let stats = fragment_stats(&frag, &chunks).unwrap();
+    let frag = split_oversized(&frag, spec().disk).unwrap();
+    let stats = fragment_stats(&frag, &prefix).unwrap();
     let policy = ReplicationPolicy::new(WINDOW, spec()).with_max_replicas(3);
     let scheme = ClusterScheme::build(&stats, policy).unwrap();
     match check_equilibrium(&scheme.economic_config()) {

@@ -104,11 +104,11 @@ proptest! {
     fn error_ordering(chunks in arb_chunks(), k in 1usize..10) {
         let prefix = ChunkPrefix::new(&chunks).unwrap();
         let table = prefix.table_len();
-        let single = Fragmentation::single(table).total_error(&prefix);
-        let opt = optimal_fragmentation(&chunks, k).unwrap().total_error(&prefix);
+        let single = Fragmentation::single(table).total_error(&prefix).unwrap();
+        let opt = optimal_fragmentation(&chunks, k).unwrap().total_error(&prefix).unwrap();
         let mut g = GreedyFragmenter::new(table, k);
-        g.run(&chunks, 8 * k);
-        let greedy = g.fragmentation().total_error(&prefix);
+        g.run(&prefix, 8 * k);
+        let greedy = g.fragmentation().total_error(&prefix).unwrap();
         prop_assert!(opt >= 0.0);
         prop_assert!(opt <= greedy + 1e-9 + 1e-9 * single);
         prop_assert!(greedy <= single + 1e-9 + 1e-9 * single);
@@ -121,15 +121,15 @@ proptest! {
         let prefix = ChunkPrefix::new(&chunks).unwrap();
         let table = prefix.table_len();
         let mut g = GreedyFragmenter::new(table, k);
-        let mut prev = g.fragmentation().total_error(&prefix);
+        let mut prev = g.fragmentation().total_error(&prefix).unwrap();
         for _ in 0..4 * k {
-            if g.step(&chunks) == nashdb_core::fragment::StepOutcome::Stable {
+            if g.step(&prefix) == nashdb_core::fragment::StepOutcome::Stable {
                 break;
             }
             let f = g.fragmentation();
             prop_assert!(f.len() <= k);
             prop_assert_eq!(f.table_len(), table);
-            let err = f.total_error(&prefix);
+            let err = f.total_error(&prefix).unwrap();
             prop_assert!(err <= prev + 1e-9 + 1e-9 * prev.abs());
             prev = err;
         }
@@ -142,10 +142,12 @@ proptest! {
         let prefix = ChunkPrefix::new(&chunks).unwrap();
         let table = prefix.table_len();
         let base = Fragmentation::single(table);
-        let capped = split_oversized(&base, max_size);
+        let capped = split_oversized(&base, max_size).unwrap();
         prop_assert_eq!(capped.table_len(), table);
         prop_assert!(capped.ranges().all(|r| r.size() <= max_size));
-        prop_assert!(capped.total_error(&prefix) <= base.total_error(&prefix) + 1e-9);
+        prop_assert!(
+            capped.total_error(&prefix).unwrap() <= base.total_error(&prefix).unwrap() + 1e-9
+        );
     }
 }
 
@@ -158,11 +160,9 @@ proptest! {
     /// respected.
     #[test]
     fn bffd_invariants(chunks in arb_chunks(), disk in 500u64..5_000) {
-        let frag = split_oversized(
-            &Fragmentation::single(ChunkPrefix::new(&chunks).unwrap().table_len()),
-            disk,
-        );
-        let stats = fragment_stats(&frag, &chunks).unwrap();
+        let prefix = ChunkPrefix::new(&chunks).unwrap();
+        let frag = split_oversized(&Fragmentation::single(prefix.table_len()), disk).unwrap();
+        let stats = fragment_stats(&frag, &prefix).unwrap();
         let policy = ReplicationPolicy::new(20, NodeSpec::new(10.0, disk))
             .with_max_replicas(12);
         let decisions = decide_replicas(&stats, &policy);

@@ -387,7 +387,8 @@ mod audit_system {
                 }
                 let chunks: Vec<Chunk> = est.chunks(table);
                 let frag = optimal_fragmentation(&chunks, 5).unwrap();
-                let stats = fragment_stats(&frag, &chunks).unwrap();
+                let prefix = nashdb_core::fragment::ChunkPrefix::new(&chunks).unwrap();
+                let stats = fragment_stats(&frag, &prefix).unwrap();
                 let policy = ReplicationPolicy::new(16, NodeSpec::new(500.0, table));
                 ClusterScheme::build(&stats, policy).expect("fragments fit one node")
             };
