@@ -76,15 +76,16 @@ impl ThresholdDistributor {
     }
 
     /// Sets the tracking/read block size in tuples (shared with the other
-    /// systems so latency reflects distribution policy, not granularity).
-    /// Resets frequency counts.
+    /// systems so latency reflects distribution policy, not granularity),
+    /// capped at the node disk so every block fits on a node, as NashDB caps
+    /// its fragments. Resets frequency counts.
     pub fn with_block(mut self, block: u64) -> Self {
         self.set_block(block);
         self
     }
 
     fn set_block(&mut self, block: u64) {
-        let block = block.max(1);
+        let block = block.clamp(1, self.disk);
         self.blocks_of = self
             .db
             .tables
@@ -312,6 +313,17 @@ mod tests {
             let mut t = ThresholdDistributor::new(&database, n, 128_000, 50);
             assert_eq!(t.scheme().num_nodes(), n);
         }
+    }
+
+    #[test]
+    fn block_larger_than_disk_is_capped_to_fit() {
+        // 8 nodes × 1M tuples hold the 8M-tuple database exactly; 2M-tuple
+        // blocks could not land on any node.
+        let database = Database::new([("fact", 8_000_000)]);
+        let mut t = ThresholdDistributor::new(&database, 8, 1_000_000, 50).with_block(2_000_000);
+        let s = t.scheme();
+        assert!(s.covers(&database));
+        assert!(s.fragments().iter().all(|gf| gf.range.size() <= 1_000_000));
     }
 
     #[test]

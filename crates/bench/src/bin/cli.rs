@@ -166,6 +166,9 @@ fn main() {
     // System.
     let price_mult: f64 = args.parse("--price-mult").unwrap_or(1.0);
     let nodes: usize = args.parse("--nodes").unwrap_or(8);
+    if nodes == 0 {
+        die("--nodes must be at least 1");
+    }
     let system = args.value("--system").unwrap_or_else(|| "nashdb".into());
     let mut dist: Box<dyn Distributor> = match system.as_str() {
         "nashdb" => Box::new(NashDbDistributor::new(&workload.db, env.nash)),

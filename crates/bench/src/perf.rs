@@ -17,7 +17,7 @@
 //!   (`range_of`, `node_used`) against the linear decision scans they
 //!   replaced, again asserted equal first.
 //! * **Fragmentation & packing** — wall-clock for the DP fragmenter (on a
-//!   chunk count wide enough to exercise its parallel layers) and for BFFD
+//!   chunk count far wider than a scan window yields) and for BFFD
 //!   packing, as plain stage timings.
 //!
 //! Timings are wall-clock, so perf snapshots are *not* byte-reproducible
@@ -56,9 +56,9 @@ pub struct PerfConfig {
     /// Cluster nodes in the batch-routing scaling workload. Each scan reads
     /// inside one 16-node zone.
     pub batch_nodes: usize,
-    /// Value chunks in the DP fragmentation problem. The default is wide
-    /// enough (`>` the fragmenter's parallel-layer threshold) that the DP's
-    /// fan-out path is what gets timed.
+    /// Value chunks in the DP fragmentation problem. The default is far
+    /// wider than the `2|W| + 1` chunks a scan window yields, so the gauge
+    /// is a stress input for the DP kernel, not a pipeline-sized run.
     pub dp_chunks: usize,
     /// Whole-suite repetitions; the report keeps each gauge's minimum.
     /// The minimum is the stable estimator on contended runners — noise is

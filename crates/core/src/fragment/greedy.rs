@@ -212,7 +212,7 @@ impl GreedyFragmenter {
     /// once stable. Returns the number of rounds that changed the
     /// fragmentation.
     pub fn run(&mut self, prefix: &ChunkPrefix, rounds: usize) -> usize {
-        let watch = crate::obs_hooks::stopwatch();
+        let watch = nashdb_obs::stopwatch();
         let mut changed = 0;
         for _ in 0..rounds {
             match self.step(prefix) {
@@ -221,8 +221,8 @@ impl GreedyFragmenter {
             }
         }
         watch.record("fragment.greedy_ns");
-        crate::obs_hooks::counter_add("fragment.greedy_runs", 1);
-        crate::obs_hooks::counter_add("fragment.greedy_changes", changed as u64);
+        nashdb_obs::counter_add("fragment.greedy_runs", 1);
+        nashdb_obs::counter_add("fragment.greedy_changes", changed as u64);
         changed
     }
 

@@ -31,9 +31,9 @@ pub fn optimal_fragmentation(
     if max_frags == 0 {
         return Err(FragmentError::ZeroMaxFrags);
     }
-    let watch = crate::obs_hooks::stopwatch();
-    crate::obs_hooks::counter_add("fragment.optimal_runs", 1);
-    crate::obs_hooks::record("fragment.optimal_chunks", chunks.len() as u64);
+    let watch = nashdb_obs::stopwatch();
+    nashdb_obs::counter_add("fragment.optimal_runs", 1);
+    nashdb_obs::record("fragment.optimal_chunks", chunks.len() as u64);
     let prefix = ChunkPrefix::new(chunks)?;
     let m = prefix.num_chunks();
     // Error of the fragment spanning chunks [a, b), by chunk index.
@@ -52,7 +52,7 @@ pub fn optimal_fragmentation(
 #[allow(clippy::needless_range_loop)] // index arithmetic *is* the DP
 pub(super) fn optimal_cuts<E>(m: usize, k: usize, err: E) -> Vec<usize>
 where
-    E: Fn(usize, usize) -> f64 + Sync,
+    E: Fn(usize, usize) -> f64,
 {
     if k == m {
         // One fragment per chunk: zero error, no DP needed.
@@ -67,19 +67,11 @@ where
     }
     let mut choice = vec![vec![0usize; m + 1]; k + 1];
 
-    // Each layer-j cell depends only on the layer-(j-1) row, so a layer's
-    // cells fill independently and in any order — including across worker
-    // threads. Every cell is computed by the identical float expression
-    // whether the layer ran serially or fanned out, so results are
-    // bit-identical either way. The chunk threshold keeps the common case
-    // (m ≤ 2|W|+1 ≈ 101) on the serial fast path; only wide layers from
-    // very large windows spread across cores.
-    const PAR_MIN_CELLS: usize = 256;
     for j in 2..=k {
         // With j fragments we can cover at least j chunks and must leave at
         // least j-1 chunks behind the last cut.
-        let layer = nashdb_par::fill_with(m + 1 - j, PAR_MIN_CELLS, |off| {
-            let i = j + off;
+        let mut next = vec![f64::INFINITY; m + 1];
+        for i in j..=m {
             let mut best = f64::INFINITY;
             let mut best_p = j - 1;
             for p in (j - 1)..i {
@@ -89,12 +81,8 @@ where
                     best_p = p;
                 }
             }
-            (best, best_p)
-        });
-        let mut next = vec![f64::INFINITY; m + 1];
-        for (off, (best, best_p)) in layer.into_iter().enumerate() {
-            next[j + off] = best;
-            choice[j][j + off] = best_p;
+            next[i] = best;
+            choice[j][i] = best_p;
         }
         dp = next;
     }

@@ -40,7 +40,6 @@ pub mod economics;
 pub mod fragment;
 pub mod ids;
 pub mod num;
-pub(crate) mod obs_hooks;
 pub mod replication;
 pub mod routing;
 pub mod transition;

@@ -111,7 +111,7 @@ pub fn decide_replicas(
     let mut total_replicas = 0u64;
     let mut forced = 0u64;
     for d in &decisions {
-        crate::obs_hooks::record("replication.replicas_per_fragment", d.replicas);
+        nashdb_obs::record("replication.replicas_per_fragment", d.replicas);
         total_replicas = total_replicas.saturating_add(d.replicas);
         if d.forced {
             forced += 1;
@@ -126,10 +126,10 @@ pub fn decide_replicas(
                 );
         }
     }
-    crate::obs_hooks::counter_add("replication.decisions", decisions.len() as u64);
-    crate::obs_hooks::counter_add("replication.replicas_total", total_replicas);
-    crate::obs_hooks::counter_add("replication.forced_singles", forced);
-    crate::obs_hooks::gauge_set("replication.nash_surplus", surplus);
+    nashdb_obs::counter_add("replication.decisions", decisions.len() as u64);
+    nashdb_obs::counter_add("replication.replicas_total", total_replicas);
+    nashdb_obs::counter_add("replication.forced_singles", forced);
+    nashdb_obs::gauge_set("replication.nash_surplus", surplus);
     decisions
 }
 
@@ -324,7 +324,7 @@ pub fn pack_bffd(
     decisions: &[ReplicationDecision],
     disk: u64,
 ) -> Result<Vec<Vec<FragmentId>>, PackError> {
-    let watch = crate::obs_hooks::stopwatch();
+    let watch = nashdb_obs::stopwatch();
     let mut order: Vec<&ReplicationDecision> = decisions.iter().collect();
     // Decreasing replica count, then a deterministic hash of the fragment's
     // *position*. The hash order matters twice over: (1) physically
@@ -376,13 +376,13 @@ pub fn pack_bffd(
         }
     }
     watch.record("packing.bffd_ns");
-    crate::obs_hooks::counter_add(
+    nashdb_obs::counter_add(
         "packing.placements",
         nodes.iter().map(|f| f.len() as u64).sum(),
     );
-    crate::obs_hooks::gauge_set("packing.nodes", nodes.len() as f64);
+    nashdb_obs::gauge_set("packing.nodes", nodes.len() as f64);
     for used in free.iter().map(|f| disk - f) {
-        crate::obs_hooks::record("packing.node_fill_tuples", used);
+        nashdb_obs::record("packing.node_fill_tuples", used);
     }
     Ok(nodes)
 }

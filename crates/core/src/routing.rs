@@ -200,18 +200,18 @@ pub fn span(assignments: &[Assignment]) -> usize {
 /// no session live it returns after one check, and `span` is never
 /// computed.
 fn record_scan_metrics(requests: usize, span: impl FnOnce() -> usize) {
-    if !crate::obs_hooks::is_active() {
+    if !nashdb_obs::is_active() {
         return;
     }
-    crate::obs_hooks::counter_add("routing.scans_routed", 1);
-    crate::obs_hooks::counter_add("routing.requests", requests as u64);
-    crate::obs_hooks::record("routing.query_span", span() as u64);
+    nashdb_obs::counter_add("routing.scans_routed", 1);
+    nashdb_obs::counter_add("routing.requests", requests as u64);
+    nashdb_obs::record("routing.query_span", span() as u64);
 }
 
 /// Shared per-batch instrumentation for every router implementation.
 fn record_batch_metrics(scans: usize) {
-    crate::obs_hooks::counter_add("routing.batches_routed", 1);
-    crate::obs_hooks::record("routing.batch_scans", scans as u64);
+    nashdb_obs::counter_add("routing.batches_routed", 1);
+    nashdb_obs::record("routing.batch_scans", scans as u64);
 }
 
 /// The paper's Max-of-mins router (Eq. 11), incremental formulation.
@@ -371,7 +371,7 @@ impl MaxOfMins {
 
         // One session check per scan instead of a thread-local round trip
         // per sample.
-        let obs_active = crate::obs_hooks::is_active();
+        let obs_active = nashdb_obs::is_active();
         // The query's span: every node's first placement flips it chosen.
         let mut span = 0usize;
         let mut out = Vec::with_capacity(requests.len());
@@ -384,7 +384,7 @@ impl MaxOfMins {
             let node = scratch.announced[idx].node;
             scratch.placed[idx] = true;
             if obs_active {
-                crate::obs_hooks::record("routing.queue_wait_tuples", queues.wait(node));
+                nashdb_obs::record("routing.queue_wait_tuples", queues.wait(node));
             }
             queues.enqueue(node, req.size);
             if !scratch.chosen[node.index()] {
@@ -653,7 +653,7 @@ pub mod reference {
             let req = &requests[idx];
             let node = cached[idx].node;
             placed[idx] = true;
-            crate::obs_hooks::record("routing.queue_wait_tuples", queues.wait(node));
+            nashdb_obs::record("routing.queue_wait_tuples", queues.wait(node));
             queues.enqueue(node, req.size);
             chosen[node.index()] = true;
             out.push(Assignment {
@@ -767,7 +767,7 @@ impl ScanRouter for PowerOfTwoChoices {
                 } else {
                     pair[0]
                 };
-                crate::obs_hooks::record("routing.queue_wait_tuples", queues.wait(node));
+                nashdb_obs::record("routing.queue_wait_tuples", queues.wait(node));
                 queues.enqueue(node, req.size);
                 chosen.insert(node);
                 Assignment {
@@ -1190,8 +1190,6 @@ mod tests {
     /// placement, the per-scan counters, and a span sample that — counted
     /// from first touches rather than hashed — equals [`span`] of the
     /// scan's assignments.
-    // nashdb-lint: allow(obs-fallback-parity) -- obs-only test, not API: without the feature there is no snapshot to inspect, so a twin would be an empty body
-    #[cfg(feature = "obs")]
     #[test]
     fn session_records_waits_counters_and_first_touch_span() {
         let router = MaxOfMins::new(35);

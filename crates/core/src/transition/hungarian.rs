@@ -65,7 +65,7 @@ pub fn hungarian(cost: &[Vec<u64>]) -> Result<(Vec<usize>, u64), HungarianError>
 /// (`super::plan_transition`) constructs its matrix square by design and
 /// calls in directly.
 pub(super) fn solve_square(cost: &[Vec<u64>], n: usize) -> (Vec<usize>, u64) {
-    let watch = crate::obs_hooks::stopwatch();
+    let watch = nashdb_obs::stopwatch();
 
     const INF: i64 = i64::MAX / 4;
 

@@ -94,10 +94,10 @@ impl TransitionPlan {
 /// Plans the minimum-transfer transition from the nodes of `old` to the
 /// nodes of `new`, each given as the interval set of tuples it stores.
 pub fn plan_transition(old: &[IntervalSet], new: &[IntervalSet]) -> TransitionPlan {
-    let watch = crate::obs_hooks::stopwatch();
+    let watch = nashdb_obs::stopwatch();
     let n = old.len().max(new.len());
     if n == 0 {
-        crate::obs_hooks::counter_add("transition.plans", 1);
+        nashdb_obs::counter_add("transition.plans", 1);
         watch.record("transition.plan_ns");
         return TransitionPlan {
             moves: Vec::new(),
@@ -155,11 +155,11 @@ pub fn plan_transition(old: &[IntervalSet], new: &[IntervalSet]) -> TransitionPl
         moves,
         total_transfer,
     };
-    crate::obs_hooks::counter_add("transition.plans", 1);
-    crate::obs_hooks::counter_add("transition.tuples_moved", plan.total_transfer);
-    crate::obs_hooks::counter_add("transition.provisioned", plan.provisioned() as u64);
-    crate::obs_hooks::counter_add("transition.decommissioned", plan.decommissioned() as u64);
-    crate::obs_hooks::record("transition.matrix_dim", n as u64);
+    nashdb_obs::counter_add("transition.plans", 1);
+    nashdb_obs::counter_add("transition.tuples_moved", plan.total_transfer);
+    nashdb_obs::counter_add("transition.provisioned", plan.provisioned() as u64);
+    nashdb_obs::counter_add("transition.decommissioned", plan.decommissioned() as u64);
+    nashdb_obs::record("transition.matrix_dim", n as u64);
     watch.record("transition.plan_ns");
     plan
 }

@@ -83,14 +83,14 @@ fn rebalance(mut node: Box<Node>) -> Box<Node> {
     update(&mut node);
     let bf = balance_factor(&node);
     if bf > 1 {
-        crate::obs_hooks::counter_add("value_tree.rebalances", 1);
+        nashdb_obs::counter_add("value_tree.rebalances", 1);
         // bf > 1 implies a left child of height >= 2.
         if node.left.as_ref().is_some_and(|l| balance_factor(l) < 0) {
             node.left = node.left.take().map(rotate_left);
         }
         rotate_right(node)
     } else if bf < -1 {
-        crate::obs_hooks::counter_add("value_tree.rebalances", 1);
+        nashdb_obs::counter_add("value_tree.rebalances", 1);
         // bf < -1 implies a right child of height >= 2.
         if node.right.as_ref().is_some_and(|r| balance_factor(r) > 0) {
             node.right = node.right.take().map(rotate_right);

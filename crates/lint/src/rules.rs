@@ -5,7 +5,6 @@
 //! | rule id                | catches                                          |
 //! |------------------------|--------------------------------------------------|
 //! | `map-iter-order`       | hash-order nondeterminism leaking into outputs   |
-//! | `obs-fallback-parity`  | `#[cfg(feature = "obs")]` items with no no-op twin |
 //! | `obs-name-prefix`      | metric/span names outside the stage registry     |
 //! | `panic-in-lib`         | `panic!`/`assert!` in non-test library paths     |
 //!
@@ -28,7 +27,6 @@ pub const RULE_IDS: &[&str] = &[
     "determinism-taint",
     "unchecked-arith-expr",
     "error-drop",
-    "obs-fallback-parity",
     "obs-name-prefix",
     "panic-in-lib",
     "escape-needs-justification",
@@ -117,7 +115,6 @@ pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     if DETERMINISTIC_CRATES.contains(&file.crate_name.as_str()) {
         map_iter_order(file, &mut findings);
     }
-    obs_fallback_parity(file, &mut findings);
     if !OBS_NAME_EXEMPT_CRATES.contains(&file.crate_name.as_str()) {
         obs_name_prefix(file, &mut findings);
     }
@@ -392,202 +389,6 @@ pub const CHECKED_MARKERS: &[&str] = &[
     "usize_from",
     "saturating_u64",
 ];
-
-// ---------------------------------------------------------------------------
-// Rule: obs-fallback-parity
-// ---------------------------------------------------------------------------
-
-/// Obs feature gating must be total: every `#[cfg(feature = "obs")]` item
-/// needs a `#[cfg(not(feature = "obs"))]` twin providing the same names, or
-/// `--no-default-features` builds break — at a distance, in whichever crate
-/// first touches the missing symbol.
-fn obs_fallback_parity(file: &SourceFile, findings: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
-    let mut gated: Vec<(bool, usize, Vec<String>)> = Vec::new(); // (negated, line, names)
-
-    let mut i = 0;
-    while i < toks.len() {
-        if !(toks[i].is_punct("#") && toks.get(i + 1).is_some_and(|t| t.is_punct("["))) {
-            i += 1;
-            continue;
-        }
-        let attr_line = toks[i].line;
-        let mut j = i + 2;
-        let mut depth = 1usize;
-        let mut is_cfg = false;
-        let mut negated = false;
-        let mut feature_obs = false;
-        let mut prev_feature = false;
-        while j < toks.len() && depth > 0 {
-            let t = &toks[j];
-            if t.is_punct("[") {
-                depth += 1;
-            } else if t.is_punct("]") {
-                depth -= 1;
-            } else if t.is_ident("cfg") {
-                is_cfg = true;
-            } else if t.is_ident("not") {
-                negated = true;
-            } else if t.is_ident("feature") {
-                prev_feature = true;
-                j += 1;
-                continue;
-            } else if prev_feature && t.kind == TokenKind::Str && t.text == "obs" {
-                feature_obs = true;
-            }
-            if !t.is_punct("=") {
-                prev_feature = false;
-            }
-            j += 1;
-        }
-        if !(is_cfg && feature_obs) {
-            i = j;
-            continue;
-        }
-        let names = item_names(toks, j);
-        gated.push((negated, attr_line, names));
-        i = j;
-    }
-
-    let provided_by_not: Vec<&String> = gated
-        .iter()
-        .filter(|(neg, _, _)| *neg)
-        .flat_map(|(_, _, names)| names)
-        .collect();
-    for (neg, line, names) in &gated {
-        if *neg {
-            continue;
-        }
-        for name in names {
-            if !provided_by_not.contains(&name) {
-                findings.push(Finding {
-                    rule: "obs-fallback-parity",
-                    file: file.path.clone(),
-                    line: *line,
-                    message: format!(
-                        "`#[cfg(feature = \"obs\")]` provides `{name}` but no \
-                         `#[cfg(not(feature = \"obs\"))]` twin in this file provides it; \
-                         `--no-default-features` builds will miss the symbol"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// The names an item starting at token index `start` (just past the
-/// attribute's `]`) introduces. For `use` declarations that's every leaf
-/// (respecting `as` renames); for named items it's the single identifier
-/// after the keyword.
-fn item_names(toks: &[Token], start: usize) -> Vec<String> {
-    let mut k = start;
-    // Skip further attributes and visibility.
-    loop {
-        if toks.get(k).is_some_and(|t| t.is_punct("#"))
-            && toks.get(k + 1).is_some_and(|t| t.is_punct("["))
-        {
-            let mut d = 1usize;
-            k += 2;
-            while k < toks.len() && d > 0 {
-                if toks[k].is_punct("[") {
-                    d += 1;
-                } else if toks[k].is_punct("]") {
-                    d -= 1;
-                }
-                k += 1;
-            }
-            continue;
-        }
-        if toks.get(k).is_some_and(|t| t.is_ident("pub")) {
-            k += 1;
-            if toks.get(k).is_some_and(|t| t.is_punct("(")) {
-                let mut d = 1usize;
-                k += 1;
-                while k < toks.len() && d > 0 {
-                    if toks[k].is_punct("(") {
-                        d += 1;
-                    } else if toks[k].is_punct(")") {
-                        d -= 1;
-                    }
-                    k += 1;
-                }
-            }
-            continue;
-        }
-        break;
-    }
-    let Some(kw) = toks.get(k) else {
-        return Vec::new();
-    };
-    if kw.is_ident("use") {
-        // Leaves of the use tree up to `;`: idents directly before `,`,
-        // `}`, or `;` — except path segments (followed by `::`) — with `as`
-        // renames taking precedence.
-        let mut names = Vec::new();
-        let mut j = k + 1;
-        while j < toks.len() && !toks[j].is_punct(";") {
-            let t = &toks[j];
-            if t.kind == TokenKind::Ident
-                && !t.is_ident("as")
-                && toks
-                    .get(j + 1)
-                    .is_some_and(|n| n.is_punct(",") || n.is_punct("}") || n.is_punct(";"))
-                && !toks
-                    .get(j.wrapping_sub(1))
-                    .is_some_and(|p| p.is_ident("as"))
-            {
-                names.push(t.text.clone());
-            }
-            if t.is_ident("as") {
-                if let Some(n) = toks.get(j + 1) {
-                    names.push(n.text.clone());
-                    j += 2;
-                    continue;
-                }
-            }
-            j += 1;
-        }
-        // A plain `use a::b::leaf;` ends right at `;` with leaf before it.
-        if names.is_empty() {
-            if let Some(t) = toks.get(j.wrapping_sub(1)) {
-                if t.kind == TokenKind::Ident {
-                    names.push(t.text.clone());
-                }
-            }
-        }
-        return names;
-    }
-    for kw_name in [
-        "fn", "struct", "enum", "trait", "mod", "static", "const", "type", "union",
-    ] {
-        if kw.is_ident(kw_name) {
-            return toks
-                .get(k + 1)
-                .filter(|t| t.kind == TokenKind::Ident)
-                .map(|t| vec![t.text.clone()])
-                .unwrap_or_default();
-        }
-    }
-    if kw.is_ident("impl") {
-        // Key an impl block by the type it implements for: first ident after
-        // `impl` that is not a generic parameter list.
-        let mut j = k + 1;
-        let mut angle = 0i32;
-        while let Some(t) = toks.get(j) {
-            if t.is_punct("<") {
-                angle += 1;
-            } else if t.is_punct(">") {
-                angle -= 1;
-            } else if angle == 0 && t.kind == TokenKind::Ident {
-                return vec![t.text.clone()];
-            } else if t.is_punct("{") {
-                break;
-            }
-            j += 1;
-        }
-    }
-    Vec::new()
-}
 
 // ---------------------------------------------------------------------------
 // Rule: obs-name-prefix

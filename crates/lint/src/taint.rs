@@ -9,7 +9,7 @@
 //! * **Sources**: `.iter()`-family calls and `for` loops whose receiver is
 //!   hash-typed (by parameter/let/field/return-type evidence),
 //!   `RandomState`, `Instant::now`/`SystemTime::now`, and raw
-//!   `thread::spawn` outside `nashdb-par`.
+//!   `thread::spawn`.
 //! * **Sanitizers**: the same statement mentioning a sorting/ordering/
 //!   order-insensitive sink sanitizes an *iteration* source; time, RNG, and
 //!   spawn sources cannot be sanitized, only escaped.
@@ -309,15 +309,11 @@ fn analyze_fn(ws: &Workspace<'_>, idx: usize) -> FnFacts {
                                         desc: format!("reads the wall clock via `{ty}::now()`"),
                                     });
                                 }
-                            } else if ty == "thread"
-                                && m == "spawn"
-                                && file.crate_name != "par"
-                                && !escaped(*line)
-                            {
+                            } else if ty == "thread" && m == "spawn" && !escaped(*line) {
                                 facts.sources.push(Source {
                                     line: *line,
                                     desc: "spawns a raw `std::thread` (scheduling order is \
-                                           nondeterministic); use the nashdb-par primitives"
+                                           nondeterministic)"
                                         .to_owned(),
                                 });
                             }

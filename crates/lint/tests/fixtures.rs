@@ -73,8 +73,6 @@ fixture_test!(taint_time_positive);
 fixture_test!(taint_allow_escape);
 fixture_test!(error_drop_positive);
 fixture_test!(error_drop_negative);
-fixture_test!(obs_parity_positive);
-fixture_test!(obs_parity_negative);
 fixture_test!(obs_name_positive);
 fixture_test!(obs_name_negative);
 fixture_test!(panic_positive);

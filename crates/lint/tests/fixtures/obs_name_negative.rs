@@ -2,7 +2,7 @@
 //! `obs-name-prefix`.
 
 pub fn emit(v: u64) {
-    crate::obs_hooks::record("routing.fast_path", v);
+    nashdb_obs::record("routing.fast_path", v);
     nashdb_obs::counter_add("fragment.splits", 1);
     nashdb_obs::gauge_set("packing.bins", v);
     nashdb_obs::record_duration("perf.routing.incremental_ns", v);

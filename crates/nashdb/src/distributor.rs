@@ -6,8 +6,7 @@ use std::collections::HashMap;
 use nashdb_cluster::QueryRequest;
 use nashdb_core::economics::NodeSpec;
 use nashdb_core::fragment::{
-    fragment_stats, optimal_fragmentation, split_oversized, ChunkPrefix, FragmentRange,
-    FragmentStats, Fragmentation, GreedyFragmenter,
+    fragment_stats, split_oversized, ChunkPrefix, FragmentRange, FragmentStats, GreedyFragmenter,
 };
 use nashdb_core::ids::{FragmentId, TableId};
 use nashdb_core::num::{saturating_u64, usize_from};
@@ -30,8 +29,6 @@ pub struct NashDbConfig {
     pub max_frags_per_table: usize,
     /// Greedy split/merge rounds per reconfiguration.
     pub greedy_rounds: usize,
-    /// Use the exact DP fragmenter instead of greedy (small tables only).
-    pub use_optimal_fragmentation: bool,
     /// Safety cap on replicas per fragment.
     pub max_replicas: u64,
     /// Maximum fragment size in tuples (the paper's "average fragment fits
@@ -51,7 +48,6 @@ impl Default for NashDbConfig {
             spec: NodeSpec::new(100.0, 50_000_000), // 50 GB-equivalent nodes
             max_frags_per_table: 64,
             greedy_rounds: 96,
-            use_optimal_fragmentation: false,
             max_replicas: 512,
             max_fragment_tuples: u64::MAX,
             refrag_sensitivity: 0.05,
@@ -65,8 +61,8 @@ struct TableState {
     fragmenter: GreedyFragmenter,
 }
 
-/// One table's slice of the fragmentation stage: value chunks -> greedy (or
-/// exact DP) fragmentation -> disk-fit split -> per-fragment statistics.
+/// One table's slice of the fragmentation stage: value chunks -> greedy
+/// fragmentation -> disk-fit split -> per-fragment statistics.
 /// Stats come back with table-local ids; the caller re-identifies them
 /// globally. The chunks' prefix statistics are built once and serve both
 /// the greedy fragmenter and the statistics.
@@ -93,14 +89,8 @@ fn table_fragments(
     } else {
         cfg.greedy_rounds.max(24 * cfg.max_frags_per_table)
     };
-    let frag = if cfg.use_optimal_fragmentation {
-        let frag = optimal_fragmentation(&chunks, cfg.max_frags_per_table);
-        debug_assert!(frag.is_ok(), "table {t_idx}: {:?}", frag.as_ref().err());
-        frag.unwrap_or_else(|_| Fragmentation::single(t.tuples.max(1)))
-    } else {
-        t.fragmenter.run(&prefix, rounds);
-        t.fragmenter.fragmentation()
-    };
+    t.fragmenter.run(&prefix, rounds);
+    let frag = t.fragmenter.fragmentation();
     #[cfg(feature = "invariant-audit")]
     {
         let audit = nashdb_core::audit::audit_value_tree(&t.estimator);
@@ -602,26 +592,6 @@ mod tests {
         for gf in s.fragments() {
             assert!(gf.range.size() <= 600_000);
         }
-    }
-
-    #[test]
-    fn optimal_mode_runs() {
-        let database = Database::new([("t", 10_000)]);
-        let cfg = NashDbConfig {
-            use_optimal_fragmentation: true,
-            spec: NodeSpec::new(100.0, 20_000),
-            max_frags_per_table: 8,
-            ..NashDbConfig::default()
-        };
-        let mut nash = NashDbDistributor::new(&database, cfg);
-        for i in 0..50 {
-            nash.observe(&query(
-                1.0,
-                &[(0, (i * 97) % 5_000, (i * 97) % 5_000 + 2_000)],
-            ));
-        }
-        let s = nash.scheme();
-        assert!(s.covers(&database));
     }
 
     #[test]

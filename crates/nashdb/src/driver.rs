@@ -245,7 +245,6 @@ pub fn run_workload_with_faults(
     // Queries still in flight, kept only under faults so a failed query can
     // be re-routed from its original request.
     let mut inflight: HashMap<QueryId, QueryRequest> = HashMap::new();
-    let phi = cfg.phi_tuples();
     loop {
         match sim.next_event() {
             DriverEvent::QueryArrived { id, query } => {
@@ -335,9 +334,6 @@ pub fn run_workload_with_faults(
             DriverEvent::Finished => break,
         }
     }
-    // ϕ is only used through phi_tuples — quiet the unused warning path
-    // when a router ignores it.
-    let _ = phi;
     sim.finish()
 }
 
